@@ -104,7 +104,6 @@ class CdfInverter:
                 f"inverse transform requires a normalized PDF; integral = {pdf.integral()}"
             )
         self.grid = pdf.grid
-        self.values = pdf.values
         delta = pdf.grid.bin_width
         cdf = np.concatenate(([0.0], np.cumsum(pdf.values) * delta))
         cdf[-1] = 1.0
@@ -137,11 +136,6 @@ class CdfInverter:
         starts = np.repeat(self.edges[:-1], counts)
         t = starts + gen.random(n) * self.grid.bin_width
         return np.minimum(t, self._t_max)
-
-
-def invert_cdf(pdf: DiscretizedFunction, u: np.ndarray) -> np.ndarray:
-    """One-shot inverse CDF evaluation (see CdfInverter for the cached form)."""
-    return CdfInverter(pdf).invert(u)
 
 
 def inverse_transform_sample(

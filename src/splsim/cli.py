@@ -22,10 +22,12 @@ from .core import (
     ParameterError,
     SystemParams,
     TimeGrid,
+    build_flux,
 )
 from .count_model import estimate_count
 from .dataset import generate_dataset, read_dataset, write_dataset
 from .fast_sim import (
+    fast_simulate,
     ramp_scene,
     read_scene,
     simulate_image,
@@ -169,8 +171,6 @@ def cmd_simulate(args) -> int:
         if args.engine == "oracle":
             batch = simulate_registrations(sys_p, env, grid, rng).rel_times
         else:
-            from .fast_sim import fast_simulate
-
             batch = fast_simulate(sys_p, env, model, grid, rng)
         write_times_csv(batch, out / "timestamps.csv")
         write_times_binary(batch, out / "timestamps.bin")
@@ -185,8 +185,6 @@ def cmd_estimate_count(args) -> int:
     if args.model:
         model = load_model(args.model)
         grid = TimeGrid(n_bins=model.n_bins, t_r=sys_p.t_r)
-        from .core import build_flux
-
         f_r = predict_pdf(model, build_flux(sys_p, env, grid))
     else:
         grid = _grid(s)
@@ -207,12 +205,13 @@ def _parse_cycles(spec: str) -> "list[int]":
     return cycles
 
 
-def _run_benchmark(args):
+def cmd_benchmark(args) -> int:
     s = _settings(args)
+    out = _require_out(args)
     sys_p = _sys_params(s)
     model = load_model(args.model)
     grid = TimeGrid(n_bins=model.n_bins, t_r=sys_p.t_r)
-    return bench_mod.run_benchmark(
+    report = bench_mod.run_benchmark(
         sys_p,
         _env_params(s),
         _parse_cycles(args.cycles),
@@ -221,11 +220,6 @@ def _run_benchmark(args):
         grid,
         RngHandle(s["seed"]),
     )
-
-
-def cmd_benchmark(args) -> int:
-    out = _require_out(args)
-    report = _run_benchmark(args)
     bench_mod.write_runtime_csv(report, out)
     print(f"benchmark written to {out}")
     return EXIT_OK
@@ -239,22 +233,15 @@ def cmd_plot_data(args) -> int:
         bench_mod.write_count_hist_csv(
             sys_p, _env_params(s), _grid(s), args.realizations, RngHandle(s["seed"]), out
         )
-    elif args.kind == "pdf-compare":
+    else:  # pdf-compare
         if not args.model:
             raise ParameterError("--model is required for pdf-compare")
         model = load_model(args.model)
         grid = TimeGrid(n_bins=model.n_bins, t_r=sys_p.t_r)
         env = _env_params(s)
-        from .core import build_flux
-
         oracle_pdf = empirical_pdf(sys_p, env, grid, args.realizations, RngHandle(s["seed"]))
         predicted = predict_pdf(model, build_flux(sys_p, env, grid))
         bench_mod.write_pdf_compare_csv(oracle_pdf, predicted, out)
-    else:  # runtime
-        if not args.model:
-            raise ParameterError("--model is required for runtime plot data")
-        report = _run_benchmark(args)
-        bench_mod.write_runtime_csv(report, out)
     print(f"{args.kind} data written to {out}")
     return EXIT_OK
 
@@ -328,11 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_benchmark)
 
     p = sub.add_parser("plot-data", parents=[common], help="emit figure data as CSV")
-    p.add_argument("--kind", choices=("count-hist", "pdf-compare", "runtime"), required=True)
+    p.add_argument("--kind", choices=("count-hist", "pdf-compare"), required=True)
     p.add_argument("--realizations", type=int, default=5000)
     p.add_argument("--model", type=Path)
-    p.add_argument("--cycles", default="100,1000,10000")
-    p.add_argument("--reps", type=int, default=5)
     p.set_defaults(func=cmd_plot_data)
 
     p = sub.add_parser("depth-demo", parents=[common], help="two-engine depth map demo")

@@ -32,11 +32,6 @@ class CountEstimate:
     std_r: float
     e_loss: float
 
-    @property
-    def std_r_unrefined(self) -> float:
-        """Width before the empirical refinement, sqrt(R / (1 + E[g]))."""
-        return math.sqrt(self.mean_r / (1.0 + self.e_loss))
-
 
 def energy_loss_fn(flux: DiscretizedFunction, t_d: float) -> DiscretizedFunction:
     """Energy lost during one dead time starting at each bin center.

@@ -2,8 +2,9 @@
 
 Each sample pairs a discretized flux vector (scaled to network input
 magnitude) with the averaged empirical registration histogram produced by
-the conventional simulator. Files carry a magic tag, the full generating
-configuration, and a trailing CRC32 so a dataset can be regenerated
+the conventional simulator. A dataset holds its samples as column arrays.
+Files carry a magic tag, the full generating configuration, one packed
+record per sample, and a trailing CRC32 so a dataset can be regenerated
 bit-exactly from its own header.
 """
 
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arrival import RngHandle
+from .arrival import RngHandle, as_generator
 from .core import (
     DegenerateDistributionError,
     EnvParams,
@@ -62,8 +63,6 @@ class EnvRanges:
 
 def sample_env(rng: "RngHandle | np.random.Generator", ranges: EnvRanges = EnvRanges()) -> EnvParams:
     """Draw independent uniform (S, B, tau) from the configured ranges."""
-    from .arrival import as_generator
-
     gen = as_generator(rng)
     s = gen.uniform(*ranges.s_range)
     b = gen.uniform(*ranges.b_range)
@@ -91,14 +90,6 @@ def split_tag(seed: int, index: int) -> str:
 
 
 @dataclass(frozen=True)
-class DatasetSample:
-    env: EnvParams
-    flux: np.ndarray
-    label: np.ndarray
-    split: str
-
-
-@dataclass(frozen=True)
 class DatasetHeader:
     sys: SystemParams
     n_bins: int
@@ -114,22 +105,28 @@ class DatasetHeader:
 
 @dataclass(frozen=True)
 class Dataset:
-    header: DatasetHeader
-    samples: "list[DatasetSample]"
+    """Samples as columns: row i of each array is sample i.
 
-    @property
-    def sys(self) -> SystemParams:
-        return self.header.sys
+    env is P x 3 (tau, S, B), flux and label are P x K, is_test is the
+    P-long split mask.
+    """
+
+    header: DatasetHeader
+    env: np.ndarray
+    flux: np.ndarray
+    label: np.ndarray
+    is_test: np.ndarray
 
     @property
     def grid(self) -> TimeGrid:
         return self.header.grid
 
     def arrays(self, split: str) -> "tuple[np.ndarray, np.ndarray]":
-        picked = [s for s in self.samples if s.split == split]
-        if not picked:
-            return np.empty((0, self.grid.n_bins)), np.empty((0, self.grid.n_bins))
-        return np.stack([s.flux for s in picked]), np.stack([s.label for s in picked])
+        """(flux, label) rows of the "train" or "test" split."""
+        if split not in ("train", "test"):
+            raise ParameterError(f"unknown split {split!r}; expected 'train' or 'test'")
+        rows = self.is_test if split == "test" else ~self.is_test
+        return self.flux[rows], self.label[rows]
 
 
 def generate_dataset(
@@ -149,7 +146,9 @@ def generate_dataset(
         raise ParameterError("dataset needs at least one sample")
     env_gen = RngHandle(seed, stream=0).generator()
     base = RngHandle(seed, stream=1)
-    samples: "list[DatasetSample]" = []
+    env_rows = np.empty((n_samples, 3))
+    flux = np.empty((n_samples, grid.n_bins))
+    label = np.empty((n_samples, grid.n_bins))
     attempt = 0
     for i in range(n_samples):
         while True:
@@ -159,12 +158,12 @@ def generate_dataset(
                 log.info("resampling near-degenerate environment %s", env)
                 continue
             try:
-                flux, label = make_pair(sys, env, grid, n_realizations, base.child(attempt))
+                flux[i], label[i] = make_pair(sys, env, grid, n_realizations, base.child(attempt))
             except DegenerateDistributionError:
                 log.info("resampling environment with zero registrations %s", env)
                 continue
             break
-        samples.append(DatasetSample(env=env, flux=flux, label=label, split=split_tag(seed, i)))
+        env_rows[i] = env.tau, env.s_level, env.b_level
     header = DatasetHeader(
         sys=sys,
         n_bins=grid.n_bins,
@@ -173,20 +172,30 @@ def generate_dataset(
         n_realizations=n_realizations,
         n_samples=n_samples,
     )
-    return Dataset(header=header, samples=samples)
+    is_test = np.array([split_tag(seed, i) == "test" for i in range(n_samples)])
+    return Dataset(header=header, env=env_rows, flux=flux, label=label, is_test=is_test)
 
 
 # t_r, t_d, sigma_t, n_cycles, n_bins, seed, n_realizations,
 # s_lo, s_hi, b_lo, b_hi, tau_lo, tau_hi, n_samples
 _HEADER = struct.Struct("<dddIIQIddddddI")
-_RECORD_META = struct.Struct("<dddB")  # tau, s, b, split flag
+
+
+def _record_dtype(n_bins: int) -> np.dtype:
+    """One packed sample record: tau, S, B, split flag (1 = test), flux, label."""
+    return np.dtype(
+        [("env", "<f8", (3,)), ("test", "u1"), ("flux", "<f8", (n_bins,)), ("label", "<f8", (n_bins,))]
+    )
 
 
 def write_dataset(ds: Dataset, path: "str | Path") -> None:
     h = ds.header
-    buf = bytearray()
-    buf += DATASET_MAGIC
-    buf += _HEADER.pack(
+    records = np.empty(h.n_samples, dtype=_record_dtype(h.n_bins))
+    records["env"] = ds.env
+    records["test"] = ds.is_test
+    records["flux"] = ds.flux
+    records["label"] = ds.label
+    head = DATASET_MAGIC + _HEADER.pack(
         h.sys.t_r,
         h.sys.t_d,
         h.sys.sigma_t,
@@ -199,65 +208,59 @@ def write_dataset(ds: Dataset, path: "str | Path") -> None:
         *h.ranges.tau_range,
         h.n_samples,
     )
-    for s in ds.samples:
-        buf += _RECORD_META.pack(s.env.tau, s.env.s_level, s.env.b_level, s.split == "test")
-        buf += np.ascontiguousarray(s.flux, dtype="<f8").tobytes()
-        buf += np.ascontiguousarray(s.label, dtype="<f8").tobytes()
-    buf += struct.pack("<I", zlib.crc32(bytes(buf)))
-    Path(path).write_bytes(bytes(buf))
+    body = records.tobytes()
+    crc = zlib.crc32(body, zlib.crc32(head))
+    with open(path, "wb") as fh:
+        fh.write(head)
+        fh.write(body)
+        fh.write(struct.pack("<I", crc))
 
 
 def _parse_header(raw: bytes, path) -> DatasetHeader:
-    if len(raw) < len(DATASET_MAGIC) + _HEADER.size or raw[: len(DATASET_MAGIC)] != DATASET_MAGIC:
-        raise FormatError(f"{path}: not a {DATASET_MAGIC.decode()} dataset file")
     fields = _HEADER.unpack_from(raw, len(DATASET_MAGIC))
     t_r, t_d, sigma_t, n_cycles, n_bins, seed, n_real = fields[:7]
     s_lo, s_hi, b_lo, b_hi, tau_lo, tau_hi, n_samples = fields[7:]
+    try:
+        sys = SystemParams(t_r=t_r, t_d=t_d, sigma_t=sigma_t, n_cycles=n_cycles)
+        TimeGrid(n_bins=n_bins, t_r=t_r)  # rejects a zero bin count
+        ranges = EnvRanges((s_lo, s_hi), (b_lo, b_hi), (tau_lo, tau_hi))
+    except ParameterError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     return DatasetHeader(
-        sys=SystemParams(t_r=t_r, t_d=t_d, sigma_t=sigma_t, n_cycles=n_cycles),
+        sys=sys,
         n_bins=n_bins,
-        ranges=EnvRanges((s_lo, s_hi), (b_lo, b_hi), (tau_lo, tau_hi)),
+        ranges=ranges,
         seed=seed,
         n_realizations=n_real,
         n_samples=n_samples,
     )
 
 
-def read_dataset_header(path: "str | Path") -> DatasetHeader:
-    """Read only the header (e.g. the generating seed) without the samples."""
-    with open(path, "rb") as fh:
-        raw = fh.read(len(DATASET_MAGIC) + _HEADER.size)
-    return _parse_header(raw, path)
-
-
 def read_dataset(path: "str | Path") -> Dataset:
     raw = Path(path).read_bytes()
-    header = _parse_header(raw, path)
-    if len(raw) < 4:
-        raise FormatError(f"{path}: truncated dataset file")
+    start = len(DATASET_MAGIC) + _HEADER.size
+    if len(raw) < start + 4 or raw[: len(DATASET_MAGIC)] != DATASET_MAGIC:
+        raise FormatError(f"{path}: not a {DATASET_MAGIC.decode()} dataset file")
     stored_crc = struct.unpack_from("<I", raw, len(raw) - 4)[0]
-    if zlib.crc32(raw[:-4]) != stored_crc:
+    if zlib.crc32(memoryview(raw)[:-4]) != stored_crc:
         raise FormatError(f"{path}: checksum mismatch")
-    k = header.n_bins
-    record_size = _RECORD_META.size + 16 * k
-    expected = len(DATASET_MAGIC) + _HEADER.size + header.n_samples * record_size + 4
+    header = _parse_header(raw, path)
+    body = len(raw) - start - 4
+    # Every sample holds 2K doubles; checking that bounds K before it sizes a dtype.
+    if 16 * header.n_bins > body:
+        raise FormatError(f"{path}: no room for one {header.n_bins}-bin sample")
+    dtype = _record_dtype(header.n_bins)
+    expected = start + header.n_samples * dtype.itemsize + 4
     if len(raw) != expected:
         raise FormatError(f"{path}: expected {expected} bytes, found {len(raw)}")
-    off = len(DATASET_MAGIC) + _HEADER.size
-    samples = []
-    for _ in range(header.n_samples):
-        tau, s, b, is_test = _RECORD_META.unpack_from(raw, off)
-        off += _RECORD_META.size
-        flux = np.frombuffer(raw, dtype="<f8", count=k, offset=off).astype(np.float64)
-        off += 8 * k
-        label = np.frombuffer(raw, dtype="<f8", count=k, offset=off).astype(np.float64)
-        off += 8 * k
-        samples.append(
-            DatasetSample(
-                env=EnvParams(tau=tau, s_level=s, b_level=b),
-                flux=flux,
-                label=label,
-                split="test" if is_test else "train",
-            )
-        )
-    return Dataset(header=header, samples=samples)
+    records = np.frombuffer(raw, dtype=dtype, count=header.n_samples, offset=start)
+    env = records["env"].astype(np.float64)
+    if not np.all(env >= 0):
+        raise FormatError(f"{path}: negative or NaN environment parameter")
+    return Dataset(
+        header=header,
+        env=env,
+        flux=records["flux"].astype(np.float64),
+        label=records["label"].astype(np.float64),
+        is_test=records["test"].astype(bool),
+    )

@@ -168,8 +168,12 @@ def backward(model: AEModel, x: np.ndarray, label: np.ndarray) -> "list[np.ndarr
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     label = np.atleast_2d(np.asarray(label, dtype=np.float64))
     out, pre, post = _forward_batch(model, x)
-    batch, width = out.shape
-    delta = 2.0 * (out - label) / (batch * width)
+    return _backprop(model, out, pre, post, label)
+
+
+def _backprop(model: AEModel, out: np.ndarray, pre: list, post: list, label: np.ndarray) -> "list[np.ndarray]":
+    """Backward sweep over a cached forward pass; see backward."""
+    delta = 2.0 * (out - label) / out.size
     grads: "list[np.ndarray]" = []
     for i in reversed(range(len(model.weights))):
         delta = delta * _activate_grad(pre[i], model.activations[i])
@@ -272,17 +276,7 @@ def train(
             batch_loss = loss_mse(out, yb)
             if not np.isfinite(batch_loss):
                 raise TrainingDivergedError(epoch, bi)
-            # Reuse the cached forward pass for the backward sweep.
-            delta = 2.0 * (out - yb) / out.size
-            grads: "list[np.ndarray]" = []
-            for i in reversed(range(len(model.weights))):
-                delta = delta * _activate_grad(pre[i], model.activations[i])
-                grads.append(delta.sum(axis=0))
-                grads.append(delta.T @ post[i])
-                if i:
-                    delta = delta @ model.weights[i]
-            grads.reverse()
-            adam.update(params, grads, cfg)
+            adam.update(params, _backprop(model, out, pre, post, yb), cfg)
             epoch_loss += batch_loss * len(idx)
         history.append(epoch_loss / n)
         if val_x is not None and (epoch % cfg.val_every == 0 or epoch == cfg.epochs - 1):

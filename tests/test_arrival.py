@@ -21,7 +21,6 @@ from splsim import (
 )
 from splsim.arrival import (
     CdfInverter,
-    invert_cdf,
     read_times_binary,
     read_times_csv,
     write_times_binary,
@@ -79,14 +78,14 @@ class TestInverseTransform:
     def test_uniform_midpoint(self):
         grid = TimeGrid(256, 10.0)
         pdf = DiscretizedFunction(grid, np.full(256, 0.1))
-        t = invert_cdf(pdf, np.array([0.5]))
+        t = CdfInverter(pdf).invert(np.array([0.5]))
         assert t[0] == pytest.approx(5.0, abs=1e-12)
 
     def test_uniform_is_identity_scaled(self):
         grid = TimeGrid(256, 10.0)
         pdf = DiscretizedFunction(grid, np.full(256, 0.1))
         u = np.linspace(0.0, 0.999, 100)
-        assert np.allclose(invert_cdf(pdf, u), 10.0 * u, atol=1e-9)
+        assert np.allclose(CdfInverter(pdf).invert(u), 10.0 * u, atol=1e-9)
 
     def test_point_mass_bin(self):
         grid = TimeGrid(256, 10.0)

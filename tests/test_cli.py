@@ -69,6 +69,14 @@ class TestExitCodes:
         code = run("train", "--dataset", bad, "--out", tmp_path / "m.splae")
         assert code == EXIT_RUNTIME
 
+    def test_dataset_header_bit_flip_is_runtime_error(self, tiny_setup, tmp_path):
+        bad = tmp_path / "flipped.splds"
+        raw = bytearray(tiny_setup["dataset_path"].read_bytes())
+        raw[21] ^= 0x10  # exponent byte of t_d
+        bad.write_bytes(bytes(raw))
+        code = run("train", "--dataset", bad, "--out", tmp_path / "m.splae")
+        assert code == EXIT_RUNTIME
+
     def test_bad_cycles_list(self, tiny_setup, tmp_path):
         code = run(
             "benchmark", "--model", tiny_setup["model_path"],
@@ -87,7 +95,7 @@ class TestGenAndTrain:
         assert code == EXIT_OK
         assert "4 pairs" in capsys.readouterr().out
         ds = read_dataset(out)
-        assert len(ds.samples) == 4
+        assert ds.flux.shape == ds.label.shape == (4, 64)
         assert ds.grid.n_bins == 64
 
     def test_train_writes_model(self, tiny_setup, tmp_path, capsys):

@@ -147,7 +147,6 @@ class TestEstimateCount:
         assert est.e_loss == pytest.approx(1.0, rel=1e-12)
         assert est.mean_r == pytest.approx(500.0)
         assert est.std_r == pytest.approx(math.sqrt(500.0) / 2.0)
-        assert est.std_r_unrefined == pytest.approx(math.sqrt(500.0 / 2.0))
 
     def test_zero_energy_degenerate(self):
         grid = TimeGrid(64, 10.0)

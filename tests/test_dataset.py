@@ -1,7 +1,12 @@
+import struct
+import tracemalloc
+import zlib
+
 import numpy as np
 import pytest
 
 from splsim import (
+    EnvParams,
     EnvRanges,
     FormatError,
     ParameterError,
@@ -15,7 +20,6 @@ from splsim import (
 from splsim.dataset import (
     TEST_FRACTION_DENOM,
     make_pair,
-    read_dataset_header,
     sample_env,
     split_tag,
 )
@@ -68,8 +72,6 @@ class TestMakePair:
     def test_shapes_and_normalization(self):
         sys_p = SystemParams(n_cycles=300)
         grid = TimeGrid(64, 10.0)
-        from splsim import EnvParams
-
         flux_vec, label = make_pair(sys_p, EnvParams(4.0, 1.0, 1.0), grid, 5, RngHandle(3))
         assert flux_vec.shape == label.shape == (64,)
         # The input is flux * bin width, so it sums to roughly the energy Q.
@@ -79,36 +81,35 @@ class TestMakePair:
 
 class TestGenerate:
     def test_counts_and_split_tags(self, desk_dataset):
-        assert len(desk_dataset.samples) == DESK_PAIRS
-        tags = [s.split for s in desk_dataset.samples]
+        assert desk_dataset.env.shape == (DESK_PAIRS, 3)
+        assert desk_dataset.flux.shape == desk_dataset.label.shape == (DESK_PAIRS, DESK_BINS)
+        tags = ["test" if t else "train" for t in desk_dataset.is_test]
         assert tags == [split_tag(DESK_SEED, i) for i in range(DESK_PAIRS)]
 
     def test_envs_inside_ranges(self, desk_dataset):
         ranges = desk_dataset.header.ranges
-        assert all(ranges.contains(s.env) for s in desk_dataset.samples)
+        assert all(ranges.contains(EnvParams(*row)) for row in desk_dataset.env)
 
     def test_labels_are_pdfs(self, desk_dataset, desk_grid):
-        dx = desk_grid.bin_width
-        for s in desk_dataset.samples[:200]:
-            assert np.all(s.label >= 0)
-            assert s.label.sum() * dx == pytest.approx(1.0, abs=1e-9)
+        labels = desk_dataset.label[:200]
+        assert np.all(labels >= 0)
+        assert labels.sum(axis=1) * desk_grid.bin_width == pytest.approx(np.ones(200), abs=1e-9)
 
     def test_deterministic_regeneration(self):
         sys_p = SystemParams(n_cycles=200)
         grid = TimeGrid(64, 10.0)
         a = generate_dataset(sys_p, grid, 10, n_realizations=3, seed=11)
         b = generate_dataset(sys_p, grid, 10, n_realizations=3, seed=11)
-        for sa, sb in zip(a.samples, b.samples):
-            assert sa.env == sb.env
-            assert np.array_equal(sa.flux, sb.flux)
-            assert np.array_equal(sa.label, sb.label)
+        assert np.array_equal(a.env, b.env)
+        assert np.array_equal(a.flux, b.flux)
+        assert np.array_equal(a.label, b.label)
 
     def test_seed_changes_content(self):
         sys_p = SystemParams(n_cycles=200)
         grid = TimeGrid(64, 10.0)
         a = generate_dataset(sys_p, grid, 5, n_realizations=3, seed=1)
         b = generate_dataset(sys_p, grid, 5, n_realizations=3, seed=2)
-        assert any(sa.env != sb.env for sa, sb in zip(a.samples, b.samples))
+        assert not np.array_equal(a.env, b.env)
 
     def test_empty_rejected(self):
         with pytest.raises(ParameterError):
@@ -122,6 +123,42 @@ class TestGenerate:
         # roughly 4:1
         assert 0.15 < vx.shape[0] / DESK_PAIRS < 0.25
 
+    def test_arrays_unknown_split(self, tiny_setup):
+        with pytest.raises(ParameterError):
+            tiny_setup["dataset"].arrays("validation")
+
+
+# The SPLDS1 layout spelled out field by field, as a reference reader.
+_REF_HEADER = struct.Struct("<dddIIQIddddddI")
+_REF_META = struct.Struct("<dddB")  # tau, s, b, split flag
+_REF_START = 6 + _REF_HEADER.size
+_N_BINS_OFFSET = 6 + struct.calcsize("<dddI")
+_N_SAMPLES_OFFSET = _REF_START - 4
+
+
+def _reference_read(raw: bytes):
+    fields = _REF_HEADER.unpack_from(raw, 6)
+    k, n = fields[4], fields[-1]
+    env, is_test, flux, label = [], [], [], []
+    off = _REF_START
+    for _ in range(n):
+        tau, s, b, flag = _REF_META.unpack_from(raw, off)
+        off += _REF_META.size
+        env.append((tau, s, b))
+        is_test.append(bool(flag))
+        flux.append(struct.unpack_from(f"<{k}d", raw, off))
+        off += 8 * k
+        label.append(struct.unpack_from(f"<{k}d", raw, off))
+        off += 8 * k
+    assert off == len(raw) - 4
+    return np.array(env), np.array(is_test), np.array(flux), np.array(label)
+
+
+def _write_with_crc(raw: bytearray, path):
+    """Write raw with its trailing CRC recomputed, so only the edit is wrong."""
+    raw[-4:] = struct.pack("<I", zlib.crc32(bytes(raw[:-4])))
+    path.write_bytes(bytes(raw))
+
 
 class TestDatasetIO:
     def test_roundtrip(self, tiny_setup, tmp_path):
@@ -130,25 +167,26 @@ class TestDatasetIO:
         write_dataset(ds, path)
         back = read_dataset(path)
         assert back.header == ds.header
-        assert len(back.samples) == len(ds.samples)
-        for sa, sb in zip(back.samples, ds.samples):
-            assert sa.env == sb.env
-            assert sa.split == sb.split
-            assert np.array_equal(sa.flux, sb.flux)
-            assert np.array_equal(sa.label, sb.label)
+        assert np.array_equal(back.env, ds.env)
+        assert np.array_equal(back.is_test, ds.is_test)
+        assert np.array_equal(back.flux, ds.flux)
+        assert np.array_equal(back.label, ds.label)
 
-    def test_header_only_read(self, tiny_setup):
-        header = read_dataset_header(tiny_setup["dataset_path"])
-        assert header == tiny_setup["dataset"].header
+    def test_layout_matches_reference_reader(self, tiny_setup):
+        ds = tiny_setup["dataset"]
+        env, is_test, flux, label = _reference_read(tiny_setup["dataset_path"].read_bytes())
+        assert np.array_equal(env, ds.env)
+        assert np.array_equal(is_test, ds.is_test)
+        assert np.array_equal(flux, ds.flux)
+        assert np.array_equal(label, ds.label)
 
     def test_regenerable_from_header(self, tiny_setup):
-        h = read_dataset_header(tiny_setup["dataset_path"])
+        h = read_dataset(tiny_setup["dataset_path"]).header
         regen = generate_dataset(
             h.sys, h.grid, h.n_samples, n_realizations=h.n_realizations,
             seed=h.seed, ranges=h.ranges,
         )
-        for sa, sb in zip(regen.samples, tiny_setup["dataset"].samples):
-            assert np.array_equal(sa.label, sb.label)
+        assert np.array_equal(regen.label, tiny_setup["dataset"].label)
 
     def test_bad_magic(self, tiny_setup, tmp_path):
         path = tmp_path / "bad.splds"
@@ -166,9 +204,45 @@ class TestDatasetIO:
         with pytest.raises(FormatError):
             read_dataset(path)
 
+    def test_header_bit_flip_is_format_error(self, tiny_setup, tmp_path):
+        # Byte 21 is the exponent byte of t_d; the flip makes t_d >= t_r.
+        path = tmp_path / "flipped.splds"
+        raw = bytearray(tiny_setup["dataset_path"].read_bytes())
+        raw[21] ^= 0x10
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError):
+            read_dataset(path)
+
     def test_truncation_detected(self, tiny_setup, tmp_path):
         path = tmp_path / "trunc.splds"
         raw = tiny_setup["dataset_path"].read_bytes()
         path.write_bytes(raw[: len(raw) - 100])
+        with pytest.raises(FormatError):
+            read_dataset(path)
+
+    @pytest.mark.parametrize(
+        "offset, value",
+        [(_N_SAMPLES_OFFSET, 2**32 - 1), (_N_BINS_OFFSET, 2**32 - 1), (_N_BINS_OFFSET, 0)],
+        ids=["huge-n_samples", "huge-n_bins", "zero-n_bins"],
+    )
+    def test_hostile_header_count(self, tiny_setup, tmp_path, offset, value):
+        path = tmp_path / "hostile.splds"
+        raw = bytearray(tiny_setup["dataset_path"].read_bytes())
+        struct.pack_into("<I", raw, offset, value)
+        _write_with_crc(raw, path)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError):
+                read_dataset(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * len(raw)
+
+    def test_negative_env_rejected(self, tiny_setup, tmp_path):
+        path = tmp_path / "negative.splds"
+        raw = bytearray(tiny_setup["dataset_path"].read_bytes())
+        struct.pack_into("<d", raw, _REF_START + 8, -1.0)  # S of the first sample
+        _write_with_crc(raw, path)
         with pytest.raises(FormatError):
             read_dataset(path)
