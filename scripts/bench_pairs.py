@@ -1,0 +1,96 @@
+"""Alternating before/after runs of one perfbench workload, summarised as JSON.
+
+Runs ``perfbench/run.py`` (tracing off) in two checkouts, pair by pair,
+swapping which side goes first on every other pair, and writes each
+side's median and quartiles of every end-to-end metric, the pair wins on
+``items_per_s``, and the environment both sides reported (core count,
+numpy, BLAS, commit).
+
+    python3 scripts/bench_pairs.py --before ../parent --after . --workload image_fast \\
+        --pairs 10 --seed 101 --seconds 30 --out BENCH_batched_image.json
+
+Pair i uses seed ``--seed + i`` on both sides. Each checkout should be a
+git clone, so that its commit is recorded.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark process; returns its environment line and its result line."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, check=True,
+    )
+    lines = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("{")]
+    return {"env": lines[0]["env"], "result": lines[-1]}
+
+
+def quartiles(values: "list[float]") -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": median, "q3": q3, "runs": values}
+
+
+def summarise(runs: "list[dict]") -> dict:
+    metrics = runs[0]["result"]["metrics"]
+    return {
+        "env": {k: runs[0]["env"][k] for k in ("nproc", "cpus_usable", "python", "numpy", "blas",
+                                                 "blas_threads", "commit")},
+        "attempted": sum(r["result"]["attempted"] for r in runs),
+        "failed": sum(r["result"]["failed"] for r in runs),
+        "metrics": {
+            name: dict(unit=spec["unit"], **quartiles([r["result"]["metrics"][name]["value"] for r in runs]))
+            for name, spec in metrics.items()
+        },
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--before", type=Path, required=True, help="checkout of the parent commit")
+    parser.add_argument("--after", type=Path, required=True, help="checkout of the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=101)
+    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+
+    sides = {"before": args.before, "after": args.after}
+    runs: "dict[str, list[dict]]" = {"before": [], "after": []}
+    for i in range(args.pairs):
+        order = ("before", "after") if i % 2 == 0 else ("after", "before")
+        for side in order:
+            runs[side].append(run_once(sides[side], args.workload, args.seed + i, args.seconds))
+        rates = {side: runs[side][-1]["result"]["metrics"]["items_per_s"]["value"] for side in sides}
+        print(f"pair {i}: first {order[0]}, items_per_s before {rates['before']:.1f} after {rates['after']:.1f}",
+              file=sys.stderr)
+
+    wins = sum(
+        a["result"]["metrics"]["items_per_s"]["value"] > b["result"]["metrics"]["items_per_s"]["value"]
+        for a, b in zip(runs["after"], runs["before"])
+    )
+    record = {
+        "workload": args.workload,
+        "command": f"perfbench/run.py --workload {args.workload} --seed <{args.seed}+pair> "
+                   f"--seconds {args.seconds:g} --trace 0",
+        "pairs": args.pairs,
+        "order": "before first on even pairs, after first on odd pairs",
+        "items_per_s_wins_after": wins,
+        "before": summarise(runs["before"]),
+        "after": summarise(runs["after"]),
+    }
+    args.out.write_text(json.dumps(record, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -9,7 +9,7 @@ count is modeled as Normal(R, R / (1 + E[g])^2) with R = N*Q / (1 + E[g]).
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +20,7 @@ from .core import (
     EnvParams,
     ParameterError,
     SystemParams,
+    TimeGrid,
     build_flux,
 )
 
@@ -40,24 +41,53 @@ def energy_loss_fn(flux: DiscretizedFunction, t_d: float) -> DiscretizedFunction
     t + t_d using exact partial-bin masses (the flux is piecewise constant),
     so t_d need not be a multiple of the bin width.
     """
-    if not 0 <= t_d < 2 * flux.grid.t_r:
+    return DiscretizedFunction(flux.grid, energy_loss_rows(flux.values[None, :], flux.grid, t_d)[0])
+
+
+def energy_loss_rows(flux: np.ndarray, grid: TimeGrid, t_d: float) -> np.ndarray:
+    """energy_loss_fn for P flux rows (P x K) on one grid."""
+    if not 0 <= t_d < 2 * grid.t_r:
         raise ParameterError(
             f"dead time must be in [0, 2*t_r) for periodic extension, got {t_d}"
         )
-    grid = flux.grid
+    periods, j, offset, span = _loss_positions(grid, float(t_d))
+    # Piecewise-linear cumulative mass over one period; cum[:, -1] is the energy Q.
+    cum = np.zeros((flux.shape[0], grid.n_bins + 1))
+    np.cumsum(flux, axis=1, out=cum[:, 1:])
+    cum[:, 1:] *= grid.bin_width
+    # np.interp's slope * (x - x_j) + y_j at every position, then whole periods.
+    at = np.take(np.diff(cum, axis=1), j, axis=1)
+    at /= span
+    at *= offset
+    at += np.take(cum, j, axis=1)
+    at += periods * cum[:, -1:]
+    g = at[:, grid.n_bins :] - at[:, : grid.n_bins]
+    return np.maximum(g, 0.0, out=g)
+
+
+@functools.lru_cache(maxsize=16)
+def _loss_positions(grid: TimeGrid, t_d: float) -> "tuple[np.ndarray, ...]":
+    """Where energy_loss_rows reads the cumulative mass, as np.interp would.
+
+    The positions are every bin center and every bin center plus t_d, each
+    split into whole periods and a remainder inside bin j of the period.
+    Returns (periods, j, remainder - edges[j], edges[j + 1] - edges[j]),
+    read-only because every caller on the same grid shares them.
+    """
     edges = grid.edges()
-    # Piecewise-linear cumulative mass over one period; cum[-1] is the energy Q.
-    cum = np.concatenate(([0.0], np.cumsum(flux.values) * grid.bin_width))
-    energy = cum[-1]
-
-    def cumulative(x: np.ndarray) -> np.ndarray:
-        periods = np.floor(x / grid.t_r)
-        rem = x - periods * grid.t_r
-        return periods * energy + np.interp(rem, edges, cum)
-
     centers = grid.centers()
-    g = cumulative(centers + t_d) - cumulative(centers)
-    return DiscretizedFunction(grid, np.maximum(g, 0.0))
+    x = np.concatenate((centers, centers + t_d))
+    periods = np.floor(x / grid.t_r)
+    rem = x - periods * grid.t_r
+    j = np.clip(np.searchsorted(edges, rem, side="right") - 1, 0, grid.n_bins - 1)
+    out = (periods, j, rem - edges[j], np.diff(edges)[j])
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _expected_loss_rows(f_r: np.ndarray, g: np.ndarray, bin_width: float) -> np.ndarray:
+    return np.einsum("ij,ij->i", f_r, g) * bin_width
 
 
 def expected_loss(f_r: DiscretizedFunction, g: DiscretizedFunction) -> float:
@@ -66,7 +96,21 @@ def expected_loss(f_r: DiscretizedFunction, g: DiscretizedFunction) -> float:
         raise ParameterError("registration PDF and loss function must share a grid")
     if not f_r.is_pdf():
         raise ParameterError(f"f_r must be a normalized PDF; integral = {f_r.integral()}")
-    return float(np.dot(f_r.values, g.values) * f_r.grid.bin_width)
+    return float(_expected_loss_rows(f_r.values[None, :], g.values[None, :], f_r.grid.bin_width)[0])
+
+
+def count_moments(
+    sys: SystemParams, energy: np.ndarray, flux: np.ndarray, f_r: np.ndarray, grid: TimeGrid
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """estimate_count for P pixels: (mean_r, std_r, e_loss) vectors.
+
+    flux and f_r are P x K rows on ``grid``; every energy must be positive
+    and every f_r row a normalized PDF.
+    """
+    e_loss = _expected_loss_rows(f_r, energy_loss_rows(flux, grid, sys.t_d), grid.bin_width)
+    shrink = 1.0 + e_loss
+    mean_r = sys.n_cycles * energy / shrink
+    return mean_r, np.sqrt(mean_r) / shrink, e_loss
 
 
 def estimate_count(
@@ -76,18 +120,22 @@ def estimate_count(
     energy = env.energy
     if energy == 0:
         return CountEstimate(mean_r=0.0, std_r=0.0, e_loss=0.0)
+    if not f_r.is_pdf():
+        raise ParameterError(f"f_r must be a normalized PDF; integral = {f_r.integral()}")
     flux = build_flux(sys, env, f_r.grid)
-    g = energy_loss_fn(flux, sys.t_d)
-    e_loss = expected_loss(f_r, g)
-    shrink = 1.0 + e_loss
-    mean_r = sys.n_cycles * energy / shrink
-    std_r = math.sqrt(mean_r) / shrink
-    return CountEstimate(mean_r=mean_r, std_r=std_r, e_loss=e_loss)
+    mean_r, std_r, e_loss = count_moments(
+        sys, np.array([energy]), flux.values[None, :], f_r.values[None, :], f_r.grid
+    )
+    return CountEstimate(mean_r=float(mean_r[0]), std_r=float(std_r[0]), e_loss=float(e_loss[0]))
 
 
 def sample_count(est: CountEstimate, rng: "RngHandle | np.random.Generator") -> int:
     """Draw an integer registration count: Gaussian, rounded, clamped at 0."""
-    if est.std_r == 0:
-        return max(0, round(est.mean_r))
-    draw = float(as_generator(rng).normal(est.mean_r, est.std_r))
-    return max(0, round(draw))
+    return draw_count(est.mean_r, est.std_r, as_generator(rng))
+
+
+def draw_count(mean_r: float, std_r: float, gen: np.random.Generator) -> int:
+    """sample_count from bare moments; the image engine draws with this per pixel."""
+    if std_r == 0:
+        return max(0, round(mean_r))
+    return max(0, round(float(gen.normal(mean_r, std_r))))

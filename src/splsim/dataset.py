@@ -54,10 +54,14 @@ class EnvRanges:
                 raise ParameterError(f"invalid range ({lo}, {hi})")
 
     def contains(self, env: EnvParams) -> bool:
+        return bool(self.inside(env.tau, env.s_level, env.b_level))
+
+    def inside(self, tau, s_level, b_level):
+        """contains over environment vectors, element by element (or over three floats)."""
         return (
-            self.s_range[0] <= env.s_level <= self.s_range[1]
-            and self.b_range[0] <= env.b_level <= self.b_range[1]
-            and self.tau_range[0] <= env.tau <= self.tau_range[1]
+            (self.s_range[0] <= s_level) & (s_level <= self.s_range[1])
+            & (self.b_range[0] <= b_level) & (b_level <= self.b_range[1])
+            & (self.tau_range[0] <= tau) & (tau <= self.tau_range[1])
         )
 
 

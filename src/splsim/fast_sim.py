@@ -2,8 +2,10 @@
 
 The fast path predicts the registration PDF with the autoencoder, draws a
 registration count from the Gaussian count model, and inverse-transform
-samples that many timestamps. Per pixel the cost is a network forward pass
-plus O(m log K) sampling, independent of the number of laser cycles.
+samples that many timestamps. Images run in blocks of pixels, so flux,
+network, count model and CDF tables cost one pass per block; per pixel
+what remains is the random stream and O(m) sampling, independent of the
+number of laser cycles.
 """
 
 from __future__ import annotations
@@ -24,13 +26,80 @@ from .core import (
     SystemParams,
     TimeGrid,
     build_flux,
+    flux_rows,
 )
-from .count_model import estimate_count, sample_count
+from .count_model import count_moments, draw_count, estimate_count, sample_count
 from .dataset import EnvRanges
 from .oracle import simulate_registrations
-from .pdf_net import AEModel, predict_pdf
+from .pdf_net import AEModel, predict_pdf, predict_pdf_rows
+
+# The engine calls the row forms. build_flux, predict_pdf, estimate_count and
+# sample_count are imported all the same: perfbench/tracing.py wraps the fast
+# engine's layers under this module's names.
 
 ENGINES = ("oracle", "fast")
+
+# Pixels per batched pass of the fast engine. The forward pass caches every
+# layer's P x width activations, so a whole-image batch multiplies the peak
+# memory while blocks of this size already amortize the per-call overhead.
+BLOCK_PIXELS = 64
+
+_EMPTY = TimestampBatch.from_times(np.empty(0))
+
+
+def _simulate_block(
+    sys: SystemParams,
+    grid: TimeGrid,
+    model: AEModel,
+    tau: np.ndarray,
+    s_level: np.ndarray,
+    b_level: np.ndarray,
+    rngs: "list[RngHandle | np.random.Generator]",
+    n_rows: int,
+) -> "list[TimestampBatch]":
+    """The learned simulator for a block of pixels, pixel i drawing from rngs[i].
+
+    Flux, network, count model and CDF tables run once over the block's
+    rows. Each pixel draws its count and then its timestamps from its own
+    stream, as a lone pixel does. Zero-energy pixels register nothing and
+    draw nothing.
+
+    The network pass always has ``n_rows`` rows, pixel i in row i: BLAS
+    picks its kernel, and so its rounding, by matrix shape, and a fixed
+    shape keeps a pixel's output independent of the pixels sharing its
+    block. Unused rows repeat the first active pixel's flux.
+    """
+    energy = s_level + b_level
+    batches = [_EMPTY] * energy.size
+    active = np.flatnonzero(energy > 0)
+    if active.size == 0:
+        return batches
+    flux = flux_rows(sys, tau[active], s_level[active], b_level[active], grid)
+    padded = np.repeat(flux[:1], n_rows, axis=0)
+    padded[active] = flux
+    f_r = predict_pdf_rows(model, padded, grid.bin_width)[active]
+    mean_r, std_r, _ = count_moments(sys, energy[active], flux, f_r, grid)
+    gens = [as_generator(rngs[i]) for i in active.tolist()]
+    counts = [draw_count(m, s, gen) for m, s, gen in zip(mean_r.tolist(), std_r.tolist(), gens)]
+    times = CdfInverter.from_rows(grid, f_r).sample_rows(counts, gens)
+    for i, t in zip(active.tolist(), times):
+        batches[i] = TimestampBatch.from_times(t)
+    return batches
+
+
+def _check_ranges(ranges: EnvRanges, tau, s_level, b_level) -> np.ndarray:
+    """Mask of pixels with energy whose environment lies outside ``ranges``; warns once if any.
+
+    Takes environment vectors, or the three floats of one pixel.
+    """
+    outside = np.logical_and(s_level + b_level > 0, np.logical_not(ranges.inside(tau, s_level, b_level)))
+    if outside.any():
+        warnings.warn(
+            f"{np.count_nonzero(outside)} of {outside.size} pixel environment(s) lie outside "
+            "the trained parameter ranges; predictions may extrapolate poorly",
+            stacklevel=3,
+        )
+    return outside
 
 
 def fast_simulate(
@@ -41,28 +110,17 @@ def fast_simulate(
     rng: "RngHandle | np.random.Generator",
     ranges: EnvRanges = EnvRanges(),
 ) -> TimestampBatch:
-    """One acquisition from the learned simulator."""
-    if env.energy == 0:
-        return TimestampBatch.from_times(np.empty(0))
-    if not ranges.contains(env):
-        warnings.warn(
-            f"environment {env} lies outside the trained parameter ranges; "
-            "predictions may extrapolate poorly",
-            stacklevel=2,
-        )
-    gen = as_generator(rng)
-    flux = build_flux(sys, env, grid)
-    f_r = predict_pdf(model, flux)
-    count = sample_count(estimate_count(sys, env, f_r), gen)
-    times = CdfInverter(f_r).sample(count, gen)
-    return TimestampBatch.from_times(times)
+    """One acquisition from the learned simulator: a block of one pixel."""
+    _check_ranges(ranges, env.tau, env.s_level, env.b_level)
+    tau, s_level, b_level = (np.array([v]) for v in (env.tau, env.s_level, env.b_level))
+    return _simulate_block(sys, grid, model, tau, s_level, b_level, [rng], n_rows=1)[0]
 
 
 def estimate_depth(batch: TimestampBatch) -> float:
     """Naive sample-mean depth (delay) estimate from relative timestamps."""
     if batch.count == 0:
         raise NoPhotonError("cannot estimate depth from an empty batch")
-    return float(batch.times.mean())
+    return float(batch.times.sum() / batch.count)
 
 
 @dataclass(frozen=True)
@@ -85,8 +143,11 @@ class SceneSpec:
         ).copy()
         if depths.ndim != 2:
             raise ParameterError("depth map must be 2-D")
-        if np.any(refl < 0) or self.b_level < 0 or self.pulse_energy < 0:
-            raise ParameterError("reflectivity, background, and energy must be non-negative")
+        if not (np.all(np.isfinite(depths)) and np.all(np.isfinite(refl))
+                and np.isfinite(self.b_level) and np.isfinite(self.pulse_energy)):
+            raise ParameterError("depth, reflectivity, background, and energy must be finite")
+        if np.any(depths < 0) or np.any(refl < 0) or self.b_level < 0 or self.pulse_energy < 0:
+            raise ParameterError("depth, reflectivity, background, and energy must be non-negative")
         object.__setattr__(self, "depths", depths)
         object.__setattr__(self, "reflectivity", refl)
 
@@ -125,13 +186,18 @@ def read_scene(path: "str | Path") -> SceneSpec:
         body = np.asarray([float(t) for t in tokens[4:]])
     except ValueError as exc:
         raise FormatError(f"{path}: malformed scene file") from exc
+    if width < 0 or height < 0:
+        raise FormatError(f"{path}: negative scene size {width}x{height}")
     if body.size != 2 * width * height:
         raise FormatError(
             f"{path}: expected {2 * width * height} grid values, found {body.size}"
         )
     depths = body[: width * height].reshape(height, width)
     refl = body[width * height :].reshape(height, width)
-    return SceneSpec(depths=depths, reflectivity=refl, b_level=b_level, pulse_energy=pulse_energy)
+    try:
+        return SceneSpec(depths=depths, reflectivity=refl, b_level=b_level, pulse_energy=pulse_energy)
+    except ParameterError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 @dataclass
@@ -141,8 +207,9 @@ class ImageResult:
     engine: str
     depth_estimate: np.ndarray      # NaN where a pixel registered no photon
     valid: np.ndarray
+    out_of_range: np.ndarray        # environment outside the trained ranges (all False for the oracle)
     batches: "list[TimestampBatch]"  # row-major pixel order
-    pixel_seconds: np.ndarray
+    pixel_seconds: np.ndarray       # fast engine: its block's wall time per pixel
     total_seconds: float
 
     @property
@@ -162,37 +229,49 @@ def simulate_image(
     """Simulate every pixel independently and estimate the depth map.
 
     Each pixel gets its own random stream keyed by (seed, pixel index), so
-    the result does not depend on traversal order.
+    the result does not depend on traversal order. The fast engine runs
+    blocks of BLOCK_PIXELS pixels; the oracle runs pixel by pixel.
     """
     if engine not in ENGINES:
         raise ParameterError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     if engine == "fast" and model is None:
         raise ParameterError("the fast engine requires a trained model")
     h, w = scene.height, scene.width
-    depth = np.full((h, w), np.nan)
-    valid = np.zeros((h, w), dtype=bool)
-    pixel_seconds = np.empty(h * w)
+    n_px = h * w
+    pixel_seconds = np.empty(n_px)
     batches: "list[TimestampBatch]" = []
     start_total = time.perf_counter()
-    for idx in range(h * w):
-        row, col = divmod(idx, w)
-        env = scene.env_at(row, col)
-        pixel_rng = rng.child(idx)
-        t0 = time.perf_counter()
-        if engine == "oracle":
-            batch = simulate_registrations(sys, env, grid, pixel_rng).rel_times
-        else:
-            batch = fast_simulate(sys, env, model, grid, pixel_rng, ranges)
-        pixel_seconds[idx] = time.perf_counter() - t0
-        batches.append(batch)
+    if engine == "oracle":
+        out_of_range = np.zeros(n_px, dtype=bool)
+        for idx in range(n_px):
+            env = scene.env_at(*divmod(idx, w))
+            pixel_rng = rng.child(idx)
+            t0 = time.perf_counter()
+            batches.append(simulate_registrations(sys, env, grid, pixel_rng).rel_times)
+            pixel_seconds[idx] = time.perf_counter() - t0
+    else:
+        tau = scene.depths.ravel()
+        s_level = (scene.reflectivity * scene.pulse_energy).ravel()
+        b_level = np.full(n_px, scene.b_level)
+        out_of_range = _check_ranges(ranges, tau, s_level, b_level)
+        for start in range(0, n_px, BLOCK_PIXELS):
+            block = slice(start, min(start + BLOCK_PIXELS, n_px))
+            t0 = time.perf_counter()
+            batches += _simulate_block(
+                sys, grid, model, tau[block], s_level[block], b_level[block],
+                [rng.child(idx) for idx in range(block.start, block.stop)], n_rows=BLOCK_PIXELS,
+            )
+            pixel_seconds[block] = (time.perf_counter() - t0) / (block.stop - block.start)
+    depth = np.full(n_px, np.nan)
+    for idx, batch in enumerate(batches):
         if batch.count:
-            depth[row, col] = estimate_depth(batch)
-            valid[row, col] = True
+            depth[idx] = estimate_depth(batch)
     total = time.perf_counter() - start_total
     return ImageResult(
         engine=engine,
-        depth_estimate=depth,
-        valid=valid,
+        depth_estimate=depth.reshape(h, w),
+        valid=~np.isnan(depth).reshape(h, w),
+        out_of_range=out_of_range.reshape(h, w),
         batches=batches,
         pixel_seconds=pixel_seconds,
         total_seconds=total,

@@ -120,7 +120,9 @@ def build_model(
 def _activate(z: np.ndarray, kind: int) -> np.ndarray:
     if kind == ACT_LINEAR:
         return z
-    return np.where(z > 0, z, LEAKY_SLOPE * z)
+    # With a slope below 1, the larger of z and slope * z is z where z > 0
+    # and slope * z elsewhere (signed zeros included), in two passes not three.
+    return np.maximum(z, LEAKY_SLOPE * z)
 
 
 def _activate_grad(z: np.ndarray, kind: int) -> np.ndarray:
@@ -287,16 +289,29 @@ def train(
 
 def predict_pdf(model: AEModel, flux: DiscretizedFunction) -> DiscretizedFunction:
     """Network prediction post-processed into a valid PDF on the flux grid."""
-    if flux.grid.n_bins != model.n_bins:
+    rows = predict_pdf_rows(model, flux.values[None, :], flux.grid.bin_width)
+    return DiscretizedFunction(flux.grid, rows[0])
+
+
+def predict_pdf_rows(model: AEModel, flux: np.ndarray, bin_width: float) -> np.ndarray:
+    """predict_pdf for P flux rows (P x K) in one batched forward pass.
+
+    Each output row is clamped at zero and normalized to unit integral;
+    every row must come out finite with positive mass.
+    """
+    if flux.shape[1] != model.n_bins:
         raise ParameterError(
-            f"model expects {model.n_bins} bins, flux has {flux.grid.n_bins}"
+            f"model expects {model.n_bins} bins, flux has {flux.shape[1]}"
         )
-    raw = forward(model, flux.values * model.input_scale)
-    clamped = np.maximum(raw, 0.0)
-    total = clamped.sum() * flux.grid.bin_width
-    if total <= 0:
+    raw, _, _ = _forward_batch(model, flux * model.input_scale)
+    pdf = np.maximum(raw, 0.0, out=raw)
+    total = pdf.sum(axis=1) * bin_width
+    if (total <= 0).any():
         raise DegenerateDistributionError("network output has no positive mass")
-    return DiscretizedFunction(flux.grid, clamped / total)
+    pdf /= total[:, None]
+    if not np.isfinite(pdf).all():
+        raise ParameterError("network output must be finite")
+    return pdf
 
 
 def save_model(model: AEModel, path: "str | Path") -> None:

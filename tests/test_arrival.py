@@ -123,6 +123,61 @@ class TestInverseTransform:
         )
         assert result.pvalue > 0.01
 
+    def test_invert_matches_binary_search(self):
+        # The per-row binary search the guide table replaced, as the reference:
+        # every row and every variate, including variates on and just below
+        # CDF entries, zero-density plateaus, point masses, and CDFs whose
+        # rounded entry K - 1 passes the final 1.0.
+        def reference(inv, pdf, row, u):
+            cdf = inv.cdf[row]
+            idx = np.clip(np.searchsorted(cdf, u, side="right") - 1, 0, inv.grid.n_bins - 1)
+            t = inv.edges[idx] + (u - cdf[idx]) / np.where(pdf > 0, pdf, 1.0)[idx]
+            return np.minimum(t, np.nextafter(inv.grid.t_r, 0.0))
+
+        gen = np.random.default_rng(31)
+        overshoots = 0
+        for trial in range(200):
+            n_bins = int(gen.integers(2, 300))
+            grid = TimeGrid(n_bins, float(gen.uniform(0.5, 30.0)))
+            pdfs = gen.uniform(0.0, 1.0, (6, n_bins)) ** 4
+            pdfs[1, gen.integers(0, n_bins, n_bins // 2)] = 0.0
+            pdfs[2] = 0.0
+            pdfs[2, gen.integers(0, n_bins)] = 1.0
+            pdfs[3, : n_bins // 2] = 0.0
+            pdfs[4, -1] = 1e-20
+            pdfs /= pdfs.sum(axis=1, keepdims=True) * grid.bin_width
+            inv = CdfInverter.from_rows(grid, pdfs)
+            overshoots += np.count_nonzero(inv.cdf[:, -2] > 1.0)
+            near = np.concatenate([inv.cdf.ravel(), np.nextafter(inv.cdf.ravel(), 0.0)])
+            u = np.concatenate([gen.random(300), near[near < 1.0], [np.nextafter(1.0, 0.0)]])
+            rows = gen.integers(0, 6, u.size)
+            got = inv.invert(u, rows)
+            for row in range(6):
+                assert np.array_equal(got[rows == row], reference(inv, pdfs[row], row, u[rows == row]))
+        assert overshoots > 0
+
+    def test_invert_rejects_variates_outside_unit_interval(self):
+        inv = CdfInverter(DiscretizedFunction(TimeGrid(64, 10.0), np.full(64, 0.1)))
+        for bad in (-0.1, 1.0, np.nan):
+            with pytest.raises(ParameterError):
+                inv.invert(np.array([0.5, bad]))
+
+    def test_sample_rows_match_lone_rows(self):
+        # Each row's draws equal sampling that row alone with the same stream,
+        # on both sides of BULK_THRESHOLD.
+        grid = TimeGrid(256, 10.0)
+        sys_p = SystemParams()
+        pdfs = np.stack([
+            arrival_pdf(build_flux(sys_p, EnvParams(tau, 2.0, 1.0), grid)).values for tau in (3.0, 4.0, 5.0)
+        ])
+        counts = [10, CdfInverter.BULK_THRESHOLD + 5, 900]
+        together = CdfInverter.from_rows(grid, pdfs).sample_rows(
+            counts, [RngHandle(40, i).generator() for i in range(3)]
+        )
+        for i, pdf_row in enumerate(pdfs):
+            alone = CdfInverter(DiscretizedFunction(grid, pdf_row)).sample(counts[i], RngHandle(40, i).generator())
+            assert np.array_equal(together[i], alone)
+
     def test_sample_paths_share_distribution(self):
         # Per-draw and bulk sampling must agree distributionally.
         sys_p = SystemParams()

@@ -77,6 +77,12 @@ class TestExitCodes:
         code = run("train", "--dataset", bad, "--out", tmp_path / "m.splae")
         assert code == EXIT_RUNTIME
 
+    def test_malformed_scene_is_runtime_error(self, tmp_path):
+        bad = tmp_path / "scene.txt"
+        bad.write_text("-2 -2 0.5 1.0\n" + " ".join(["1"] * 8) + "\n")
+        code = run("simulate", "--engine", "oracle", "--scene", bad, "--out", tmp_path / "o")
+        assert code == EXIT_RUNTIME
+
     def test_bad_cycles_list(self, tiny_setup, tmp_path):
         code = run(
             "benchmark", "--model", tiny_setup["model_path"],

@@ -17,7 +17,8 @@ from splsim import (
     expected_loss,
     sample_count,
 )
-from splsim.count_model import CountEstimate
+from splsim.core import flux_rows
+from splsim.count_model import CountEstimate, count_moments, energy_loss_rows
 from splsim.oracle import registration_counts
 
 
@@ -184,3 +185,29 @@ class TestSampleCount:
         gen = RngHandle(81).generator()
         draws = [sample_count(est, gen) for _ in range(5000)]
         assert min(draws) >= 0
+
+
+class TestRowWise:
+    def test_rows_match_single_pixel_functions(self):
+        # t_d = 7.3 is not a multiple of the 10/128 bin width.
+        sys_p = SystemParams(t_r=10.0, t_d=7.3, sigma_t=0.1, n_cycles=1000)
+        grid = TimeGrid(128, 10.0)
+        gen = np.random.default_rng(8)
+        tau = gen.uniform(2.0, 6.0, 12)
+        s_level = gen.uniform(0.0, 3.0, 12)
+        b_level = gen.uniform(0.0, 3.0, 12)
+        s_level[3] = b_level[5] = 0.0
+        f_r = gen.uniform(0.0, 1.0, (12, 128))
+        f_r /= f_r.sum(axis=1, keepdims=True) * grid.bin_width
+        flux = flux_rows(sys_p, tau, s_level, b_level, grid)
+        g = energy_loss_rows(flux, grid, sys_p.t_d)
+        mean_r, std_r, e_loss = count_moments(sys_p, s_level + b_level, flux, f_r, grid)
+        for i in range(12):
+            env = EnvParams(tau[i], s_level[i], b_level[i])
+            one = build_flux(sys_p, env, grid)
+            assert np.array_equal(flux[i], one.values)
+            assert np.allclose(g[i], energy_loss_fn(one, sys_p.t_d).values, rtol=1e-12, atol=0)
+            est = estimate_count(sys_p, env, DiscretizedFunction(grid, f_r[i]))
+            assert (mean_r[i], std_r[i], e_loss[i]) == pytest.approx(
+                (est.mean_r, est.std_r, est.e_loss), rel=1e-12, abs=0
+            )

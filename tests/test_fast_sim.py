@@ -4,6 +4,10 @@ from scipy import stats
 
 from splsim import (
     EnvParams,
+    build_flux,
+    estimate_count,
+    predict_pdf,
+    sample_count,
     FormatError,
     NoPhotonError,
     ParameterError,
@@ -18,8 +22,23 @@ from splsim import (
     simulate_registrations,
     write_scene,
 )
-from splsim.arrival import TimestampBatch
-from splsim.fast_sim import SceneSpec, write_depth_csv
+from splsim.arrival import CdfInverter, TimestampBatch
+from splsim.fast_sim import BLOCK_PIXELS, SceneSpec, write_depth_csv
+
+
+def reference_fast_image(scene, sys_p, grid, model, rng):
+    """The fast engine pixel by pixel: each pixel's flux, PDF, count and CdfInverter on its own."""
+    out = []
+    for idx in range(scene.height * scene.width):
+        env = scene.env_at(*divmod(idx, scene.width))
+        if env.energy == 0:
+            out.append(np.empty(0))
+            continue
+        gen = rng.child(idx).generator()
+        f_r = predict_pdf(model, build_flux(sys_p, env, grid))
+        count = sample_count(estimate_count(sys_p, env, f_r), gen)
+        out.append(CdfInverter(f_r).sample(count, gen))
+    return out
 
 
 class TestFastSimulate:
@@ -142,6 +161,33 @@ class TestSceneSpec:
         with pytest.raises(FormatError):
             read_scene(path)
 
+    def test_scene_file_negative_size(self, tmp_path):
+        path = tmp_path / "scene.txt"
+        path.write_text("-2 -2 0.5 1.0\n" + " ".join(["1"] * 8) + "\n")
+        with pytest.raises(FormatError):
+            read_scene(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("depths", np.inf), ("depths", np.nan), ("depths", -1.0), ("reflectivity", np.nan),
+         ("b_level", np.nan), ("pulse_energy", np.inf)],
+    )
+    def test_bad_values_rejected(self, tmp_path, field, value):
+        fields = dict(depths=np.full((2, 2), 4.0), reflectivity=np.ones((2, 2)), b_level=0.5, pulse_energy=1.0)
+        if field in ("depths", "reflectivity"):
+            fields[field][0, 1] = value
+        else:
+            fields[field] = value
+        with pytest.raises(ParameterError):
+            SceneSpec(**fields)
+        path = tmp_path / "scene.txt"
+        path.write_text(
+            f"2 2 {fields['b_level']} {fields['pulse_energy']}\n"
+            + " ".join(str(v) for v in np.concatenate([fields["depths"].ravel(), fields["reflectivity"].ravel()]))
+        )
+        with pytest.raises(FormatError):
+            read_scene(path)
+
 
 class TestSimulateImage:
     def test_requires_model_for_fast(self, default_sys, desk_grid):
@@ -161,14 +207,16 @@ class TestSimulateImage:
         assert result.valid.all()
         assert np.allclose(result.depth_estimate, scene.depths, atol=0.05)
 
-    def test_zero_energy_pixel_invalid(self, default_sys, desk_grid):
+    @pytest.mark.parametrize("engine", ["oracle", "fast"])
+    def test_zero_energy_pixel_invalid(self, default_sys, desk_grid, engine, request):
         scene = SceneSpec(
             depths=np.array([[4.0, 4.0]]),
             reflectivity=np.array([[0.0, 1.0]]),
             b_level=0.0,
             pulse_energy=2.0,
         )
-        result = simulate_image(scene, default_sys, desk_grid, "oracle", RngHandle(11))
+        model = request.getfixturevalue("trained_model") if engine == "fast" else None
+        result = simulate_image(scene, default_sys, desk_grid, engine, RngHandle(11), model=model)
         assert not result.valid[0, 0] and np.isnan(result.depth_estimate[0, 0])
         assert result.valid[0, 1]
 
@@ -200,6 +248,39 @@ class TestSimulateImage:
             sub, default_sys, desk_grid, "fast", RngHandle(13), model=trained_model
         )
         assert np.array_equal(full.batches[0].times, only.batches[0].times)
+
+    def test_fast_image_matches_per_pixel_reference(self, trained_model, default_sys, desk_grid):
+        # 2 blocks plus a partial one; one zero-energy pixel; at N = 1e4 the
+        # dim pixels stay below BULK_THRESHOLD and the bright ones go above.
+        sys_p = SystemParams(n_cycles=10_000)
+        width, height = 13, 11
+        assert (width * height) % BLOCK_PIXELS
+        refl = np.random.default_rng(3).uniform(0.05, 1.5, size=(height, width))
+        refl[4, 7] = 0.0
+        scene = SceneSpec(
+            depths=ramp_scene(width, height, tau_range=(2.5, 5.5)).depths,
+            reflectivity=refl,
+            b_level=0.0,
+            pulse_energy=2.0,
+        )
+        result = simulate_image(scene, sys_p, desk_grid, "fast", RngHandle(14), model=trained_model)
+        reference = reference_fast_image(scene, sys_p, desk_grid, trained_model, RngHandle(14))
+        counts = np.array([b.count for b in result.batches])
+        assert np.array_equal(counts, [t.size for t in reference])
+        assert counts[4 * width + 7] == 0
+        assert counts.min() < CdfInverter.BULK_THRESHOLD <= counts.max()
+        for batch, times in zip(result.batches, reference):
+            assert np.allclose(batch.times, times, rtol=0, atol=1e-9)
+
+    def test_out_of_range_mask_warns_once(self, trained_model, default_sys, desk_grid):
+        refl = np.ones((2, 3))
+        refl[0, 1] = refl[1, 2] = 10.0  # S = 20, above the trained S range
+        refl[1, 0] = 0.0
+        scene = SceneSpec(depths=np.full((2, 3), 4.0), reflectivity=refl, b_level=0.0, pulse_energy=2.0)
+        with pytest.warns(UserWarning, match="outside the trained") as caught:
+            result = simulate_image(scene, default_sys, desk_grid, "fast", RngHandle(15), model=trained_model)
+        assert sum("outside the trained" in str(w.message) for w in caught) == 1
+        assert np.array_equal(result.out_of_range, refl == 10.0)
 
     def test_depth_csv(self, tmp_path):
         depth = np.array([[1.0, 2.0], [3.0, np.nan]])
