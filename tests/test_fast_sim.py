@@ -268,7 +268,8 @@ class TestSimulateImage:
         counts = np.array([b.count for b in result.batches])
         assert np.array_equal(counts, [t.size for t in reference])
         assert counts[4 * width + 7] == 0
-        assert counts.min() < CdfInverter.BULK_THRESHOLD <= counts.max()
+        lit = counts[counts > 0]
+        assert lit.min() < CdfInverter.BULK_THRESHOLD <= lit.max()
         for batch, times in zip(result.batches, reference):
             assert np.allclose(batch.times, times, rtol=0, atol=1e-9)
 
