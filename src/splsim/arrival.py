@@ -169,10 +169,13 @@ class CdfInverter:
         variates whose bucket holds more than one entry.
         """
         u = np.asarray(u, dtype=np.float64)
+        rows = np.asarray(rows, dtype=np.intp)
         if u.size and not (u.min() >= 0.0 and u.max() < 1.0):
             raise ParameterError("uniform variates must lie in [0, 1)")
+        if not (rows.min() >= 0 and rows.max() < self.cdf.shape[0]):
+            raise ParameterError(f"row indices must lie in [0, {self.cdf.shape[0]})")
         at = (u * self.GUIDE_BUCKETS).astype(np.intp)
-        at += np.asarray(rows, dtype=np.intp) * (self.GUIDE_BUCKETS + 1)
+        at += rows * (self.GUIDE_BUCKETS + 1)
         return self._invert(u, at)
 
     def _invert(self, u: np.ndarray, at: np.ndarray) -> np.ndarray:

@@ -156,11 +156,14 @@ class TestInverseTransform:
                 assert np.array_equal(got[rows == row], reference(inv, pdfs[row], row, u[rows == row]))
         assert overshoots > 0
 
-    def test_invert_rejects_variates_outside_unit_interval(self):
+    def test_invert_rejects_bad_variates_and_rows(self):
         inv = CdfInverter(DiscretizedFunction(TimeGrid(64, 10.0), np.full(64, 0.1)))
         for bad in (-0.1, 1.0, np.nan):
             with pytest.raises(ParameterError):
                 inv.invert(np.array([0.5, bad]))
+        for rows in (1, -1, np.array([0, 1])):
+            with pytest.raises(ParameterError):
+                inv.invert(np.array([0.5, 0.5]), rows)
 
     def test_sample_rows_match_lone_rows(self):
         # Each row's draws equal sampling that row alone with the same stream,
