@@ -47,18 +47,19 @@ class SystemParams:
     n_cycles: int = 1000
 
     def __post_init__(self):
-        if self.t_r <= 0:
-            raise ParameterError(f"repetition period must be positive, got {self.t_r}")
+        # Each check is false for NaN, and the bounds exclude infinities.
+        if not 0 < self.t_r < math.inf:
+            raise ParameterError(f"t_r (repetition period) must be positive and finite, got {self.t_r}")
         if not 0 <= self.t_d < self.t_r:
             raise ParameterError(
                 f"dead time must satisfy 0 <= t_d < t_r, got t_d={self.t_d}, t_r={self.t_r}"
             )
-        if self.sigma_t <= 0:
-            raise ParameterError(f"pulse half width must be positive, got {self.sigma_t}")
-        if self.sigma_t >= self.t_r:
-            raise ParameterError("pulse half width must be much smaller than the period")
-        if self.n_cycles < 1:
-            raise ParameterError(f"cycle count must be >= 1, got {self.n_cycles}")
+        if not 0 < self.sigma_t < self.t_r:
+            raise ParameterError(
+                f"sigma_t (pulse half width) must be positive and much smaller than t_r, got {self.sigma_t}"
+            )
+        if not 1 <= self.n_cycles < math.inf:
+            raise ParameterError(f"n_cycles must be >= 1 and finite, got {self.n_cycles}")
 
 
 @dataclass(frozen=True)
@@ -74,12 +75,10 @@ class EnvParams:
     b_level: float
 
     def __post_init__(self):
-        if self.tau < 0:
-            raise ParameterError(f"pulse delay must be non-negative, got {self.tau}")
-        if self.s_level < 0:
-            raise ParameterError(f"signal level must be non-negative, got {self.s_level}")
-        if self.b_level < 0:
-            raise ParameterError(f"background level must be non-negative, got {self.b_level}")
+        for name in ("tau", "s_level", "b_level"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ParameterError(f"{name} must be non-negative and finite, got {value}")
 
     @property
     def energy(self) -> float:
@@ -102,10 +101,10 @@ class TimeGrid:
     t_r: float = 10.0
 
     def __post_init__(self):
-        if self.n_bins < 1:
-            raise ParameterError(f"bin count must be >= 1, got {self.n_bins}")
-        if self.t_r <= 0:
-            raise ParameterError(f"grid period must be positive, got {self.t_r}")
+        if not 1 <= self.n_bins < math.inf:
+            raise ParameterError(f"n_bins must be >= 1 and finite, got {self.n_bins}")
+        if not 0 < self.t_r < math.inf:
+            raise ParameterError(f"t_r (grid period) must be positive and finite, got {self.t_r}")
 
     @property
     def bin_width(self) -> float:

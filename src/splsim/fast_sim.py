@@ -1,10 +1,11 @@
 """Learned fast simulator and the multi-pixel depth-map demo.
 
 The fast path predicts the registration PDF with the autoencoder, draws a
-registration count from the Gaussian count model, and inverse-transform
-samples that many timestamps. Images run in blocks of pixels, so flux,
-network, count model and CDF tables cost one pass per block; per pixel
-what remains is the random stream and O(m) sampling, independent of the
+registration count from the Gaussian count model, and draws that many
+timestamps by bin counts: multinomial counts over the PDF's bins, then
+uniform placement within each bin. Images run in blocks of pixels, so
+flux, network and count model cost one pass per block; per pixel what
+remains is the random stream and O(m) sampling, independent of the
 number of laser cycles.
 """
 
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arrival import CdfInverter, RngHandle, TimestampBatch, as_generator
+from .arrival import RngHandle, TimestampBatch, as_generator, sample_bin_counts
 from .core import (
     EnvParams,
     FormatError,
@@ -59,10 +60,10 @@ def _simulate_block(
 ) -> "list[TimestampBatch]":
     """The learned simulator for a block of pixels, pixel i drawing from rngs[i].
 
-    Flux, network, count model and CDF tables run once over the block's
-    rows. Each pixel draws its count and then its timestamps from its own
-    stream, as a lone pixel does. Zero-energy pixels register nothing and
-    draw nothing.
+    Flux, network and count model run once over the block's rows. Each
+    pixel draws its count and then its timestamps by bin counts from its
+    own stream, as a lone pixel does. Zero-energy pixels register nothing
+    and draw nothing.
 
     The network pass always has ``n_rows`` rows, pixel i in row i: BLAS
     picks its kernel, and so its rounding, by matrix shape, and a fixed
@@ -79,11 +80,11 @@ def _simulate_block(
     padded[active] = flux
     f_r = predict_pdf_rows(model, padded, grid.bin_width)[active]
     mean_r, std_r, _ = count_moments(sys, energy[active], flux, f_r, grid)
-    gens = [as_generator(rngs[i]) for i in active.tolist()]
-    counts = [draw_count(m, s, gen) for m, s, gen in zip(mean_r.tolist(), std_r.tolist(), gens)]
-    times = CdfInverter.from_rows(grid, f_r).sample_rows(counts, gens)
-    for i, t in zip(active.tolist(), times):
-        batches[i] = TimestampBatch.from_times(t)
+    bin_mass = f_r / f_r.sum(axis=1, keepdims=True)
+    for i, mean, std, mass in zip(active.tolist(), mean_r.tolist(), std_r.tolist(), bin_mass):
+        gen = as_generator(rngs[i])
+        times = sample_bin_counts(draw_count(mean, std, gen), mass, grid, gen)
+        batches[i] = TimestampBatch.from_times(times)
     return batches
 
 
@@ -110,7 +111,11 @@ def fast_simulate(
     rng: "RngHandle | np.random.Generator",
     ranges: EnvRanges = EnvRanges(),
 ) -> TimestampBatch:
-    """One acquisition from the learned simulator: a block of one pixel."""
+    """One acquisition from the learned simulator: a block of one pixel.
+
+    The timestamps come grouped by bin (see sample_bin_counts), so their
+    order carries no information.
+    """
     _check_ranges(ranges, env.tau, env.s_level, env.b_level)
     tau, s_level, b_level = (np.array([v]) for v in (env.tau, env.s_level, env.b_level))
     return _simulate_block(sys, grid, model, tau, s_level, b_level, [rng], n_rows=1)[0]
@@ -230,7 +235,9 @@ def simulate_image(
 
     Each pixel gets its own random stream keyed by (seed, pixel index), so
     the result does not depend on traversal order. The fast engine runs
-    blocks of BLOCK_PIXELS pixels; the oracle runs pixel by pixel.
+    blocks of BLOCK_PIXELS pixels, and each of its pixels' timestamps come
+    grouped by bin, so their order carries no information; the oracle
+    runs pixel by pixel.
     """
     if engine not in ENGINES:
         raise ParameterError(f"unknown engine {engine!r}; expected one of {ENGINES}")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from splsim import (
@@ -23,6 +25,7 @@ from splsim.arrival import (
     CdfInverter,
     read_times_binary,
     read_times_csv,
+    sample_bin_counts,
     write_times_binary,
     write_times_csv,
 )
@@ -123,14 +126,14 @@ class TestInverseTransform:
         )
         assert result.pvalue > 0.01
 
-    def test_invert_matches_binary_search(self):
-        # The per-row binary search the guide table replaced, as the reference:
-        # every row and every variate, including variates on and just below
-        # CDF entries, zero-density plateaus, point masses, and CDFs whose
-        # rounded entry K - 1 passes the final 1.0.
-        def reference(inv, pdf, row, u):
-            cdf = inv.cdf[row]
-            idx = np.clip(np.searchsorted(cdf, u, side="right") - 1, 0, inv.grid.n_bins - 1)
+    def test_invert_edge_case_pdfs(self):
+        # Each variate's bin is the last of CDF entries 0..K-1 at or below it,
+        # found here by counting, over PDFs with zero-density plateaus, point
+        # masses and a CDF whose rounded entry K - 1 passes the final 1.0, and
+        # over variates on and just below every CDF entry.
+        def reference(inv, pdf, u):
+            cdf = inv.cdf
+            idx = np.count_nonzero(cdf[None, :-1] <= u[:, None], axis=1) - 1
             t = inv.edges[idx] + (u - cdf[idx]) / np.where(pdf > 0, pdf, 1.0)[idx]
             return np.minimum(t, np.nextafter(inv.grid.t_r, 0.0))
 
@@ -139,47 +142,26 @@ class TestInverseTransform:
         for trial in range(200):
             n_bins = int(gen.integers(2, 300))
             grid = TimeGrid(n_bins, float(gen.uniform(0.5, 30.0)))
-            pdfs = gen.uniform(0.0, 1.0, (6, n_bins)) ** 4
+            pdfs = gen.uniform(0.0, 1.0, (5, n_bins)) ** 4
             pdfs[1, gen.integers(0, n_bins, n_bins // 2)] = 0.0
             pdfs[2] = 0.0
             pdfs[2, gen.integers(0, n_bins)] = 1.0
             pdfs[3, : n_bins // 2] = 0.0
             pdfs[4, -1] = 1e-20
             pdfs /= pdfs.sum(axis=1, keepdims=True) * grid.bin_width
-            inv = CdfInverter.from_rows(grid, pdfs)
-            overshoots += np.count_nonzero(inv.cdf[:, -2] > 1.0)
-            near = np.concatenate([inv.cdf.ravel(), np.nextafter(inv.cdf.ravel(), 0.0)])
-            u = np.concatenate([gen.random(300), near[near < 1.0], [np.nextafter(1.0, 0.0)]])
-            rows = gen.integers(0, 6, u.size)
-            got = inv.invert(u, rows)
-            for row in range(6):
-                assert np.array_equal(got[rows == row], reference(inv, pdfs[row], row, u[rows == row]))
+            for pdf in pdfs:
+                inv = CdfInverter(DiscretizedFunction(grid, pdf))
+                overshoots += inv.cdf[-2] > 1.0
+                near = np.concatenate([inv.cdf, np.nextafter(inv.cdf, 0.0)])
+                u = np.concatenate([gen.random(300), near[near < 1.0], [np.nextafter(1.0, 0.0)]])
+                assert np.array_equal(inv.invert(u), reference(inv, pdf, u))
         assert overshoots > 0
 
-    def test_invert_rejects_bad_variates_and_rows(self):
+    def test_invert_rejects_bad_variates(self):
         inv = CdfInverter(DiscretizedFunction(TimeGrid(64, 10.0), np.full(64, 0.1)))
         for bad in (-0.1, 1.0, np.nan):
             with pytest.raises(ParameterError):
                 inv.invert(np.array([0.5, bad]))
-        for rows in (1, -1, np.array([0, 1])):
-            with pytest.raises(ParameterError):
-                inv.invert(np.array([0.5, 0.5]), rows)
-
-    def test_sample_rows_match_lone_rows(self):
-        # Each row's draws equal sampling that row alone with the same stream,
-        # on both sides of BULK_THRESHOLD.
-        grid = TimeGrid(256, 10.0)
-        sys_p = SystemParams()
-        pdfs = np.stack([
-            arrival_pdf(build_flux(sys_p, EnvParams(tau, 2.0, 1.0), grid)).values for tau in (3.0, 4.0, 5.0)
-        ])
-        counts = [10, CdfInverter.BULK_THRESHOLD + 5, 900]
-        together = CdfInverter.from_rows(grid, pdfs).sample_rows(
-            counts, [RngHandle(40, i).generator() for i in range(3)]
-        )
-        for i, pdf_row in enumerate(pdfs):
-            alone = CdfInverter(DiscretizedFunction(grid, pdf_row)).sample(counts[i], RngHandle(40, i).generator())
-            assert np.array_equal(together[i], alone)
 
     def test_sample_paths_share_distribution(self):
         # Per-draw and bulk sampling must agree distributionally.
@@ -192,6 +174,47 @@ class TestInverseTransform:
         )
         bulk = inv.sample(20_000, RngHandle(22).generator())
         assert stats.ks_2samp(small, bulk).pvalue > 0.01
+
+
+@st.composite
+def binned_pdfs(draw):
+    """A normalized PDF on a random grid, with zero-mass bins or as a point mass."""
+    n_bins = draw(st.integers(1, 64))
+    grid = TimeGrid(n_bins, draw(st.floats(0.5, 100.0)))
+    weight = st.one_of(st.just(0.0), st.floats(1e-6, 1e6))
+    weights = np.array(draw(st.one_of(
+        st.lists(weight, min_size=n_bins, max_size=n_bins).filter(any),
+        st.integers(0, n_bins - 1).map(lambda at: [float(i == at) for i in range(n_bins)]),
+    )))
+    return DiscretizedFunction(grid, weights / (weights.sum() * grid.bin_width))
+
+
+def assert_drawn_from(times, n, pdf):
+    """Exactly n timestamps, all in [0, t_r), each in a bin with positive mass."""
+    grid = pdf.grid
+    assert times.shape == (n,)
+    assert np.all((times >= 0.0) & (times < grid.t_r))
+    bins = np.minimum(np.searchsorted(grid.edges(), times, side="right") - 1, grid.n_bins - 1)
+    assert np.all(pdf.values[bins] > 0)
+
+
+# Fixed example sequence, so that the suite draws the same cases on every run.
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+class TestSamplingProperties:
+    @PROPERTY_SETTINGS
+    @given(pdf=binned_pdfs(), n=st.integers(0, 5000), seed=st.integers(0, 2**32 - 1))
+    def test_bin_counts_draws(self, pdf, n, seed):
+        mass = pdf.values / pdf.values.sum()
+        times = sample_bin_counts(n, mass, pdf.grid, np.random.default_rng(seed))
+        assert_drawn_from(times, n, pdf)
+
+    @PROPERTY_SETTINGS
+    @given(pdf=binned_pdfs(), n=st.integers(0, 5000), seed=st.integers(0, 2**32 - 1))
+    def test_inverter_draws(self, pdf, n, seed):
+        times = CdfInverter(pdf).sample(n, np.random.default_rng(seed))
+        assert_drawn_from(times, n, pdf)
 
 
 class TestSimulateArrivals:

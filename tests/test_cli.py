@@ -83,6 +83,11 @@ class TestExitCodes:
         code = run("simulate", "--engine", "oracle", "--scene", bad, "--out", tmp_path / "o")
         assert code == EXIT_RUNTIME
 
+    def test_non_finite_parameter_is_validation_error(self, tmp_path, capsys):
+        code = run("simulate", "--engine", "oracle", "--sigma-t", "nan", "--out", tmp_path / "o")
+        assert code == EXIT_VALIDATION
+        assert "sigma_t" in capsys.readouterr().err
+
     def test_bad_cycles_list(self, tiny_setup, tmp_path):
         code = run(
             "benchmark", "--model", tiny_setup["model_path"],

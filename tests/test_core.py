@@ -43,6 +43,23 @@ class TestParams:
         with pytest.raises(ParameterError):
             SystemParams(**kwargs)
 
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            pytest.param(lambda: SystemParams(sigma_t=math.nan), "sigma_t", id="system-sigma_t-nan"),
+            pytest.param(lambda: SystemParams(t_r=math.inf), "t_r", id="system-t_r-inf"),
+            pytest.param(lambda: SystemParams(n_cycles=math.inf), "n_cycles", id="system-n_cycles-inf"),
+            pytest.param(lambda: TimeGrid(256, math.inf), "t_r", id="grid-t_r-inf"),
+            pytest.param(lambda: TimeGrid(math.nan, 10.0), "n_bins", id="grid-n_bins-nan"),
+            pytest.param(lambda: EnvParams(math.nan, 1.0, math.inf), "tau", id="env-tau-nan"),
+            pytest.param(lambda: EnvParams(4.0, math.inf, 1.0), "s_level", id="env-s_level-inf"),
+            pytest.param(lambda: EnvParams(4.0, 1.0, math.nan), "b_level", id="env-b_level-nan"),
+        ],
+    )
+    def test_non_finite_rejected(self, make, field):
+        with pytest.raises(ParameterError, match=rf"^{field}\b"):
+            make()
+
     def test_invalid_env(self):
         with pytest.raises(ParameterError):
             EnvParams(tau=-1.0, s_level=1.0, b_level=1.0)

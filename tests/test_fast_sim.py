@@ -22,12 +22,12 @@ from splsim import (
     simulate_registrations,
     write_scene,
 )
-from splsim.arrival import CdfInverter, TimestampBatch
-from splsim.fast_sim import BLOCK_PIXELS, SceneSpec, write_depth_csv
+from splsim.arrival import TimestampBatch, sample_bin_counts
+from splsim.fast_sim import BLOCK_PIXELS, SceneSpec, _simulate_block, write_depth_csv
 
 
 def reference_fast_image(scene, sys_p, grid, model, rng):
-    """The fast engine pixel by pixel: each pixel's flux, PDF, count and CdfInverter on its own."""
+    """The fast engine pixel by pixel: each pixel's flux, PDF, count and bin-count draw on its own."""
     out = []
     for idx in range(scene.height * scene.width):
         env = scene.env_at(*divmod(idx, scene.width))
@@ -37,7 +37,7 @@ def reference_fast_image(scene, sys_p, grid, model, rng):
         gen = rng.child(idx).generator()
         f_r = predict_pdf(model, build_flux(sys_p, env, grid))
         count = sample_count(estimate_count(sys_p, env, f_r), gen)
-        out.append(CdfInverter(f_r).sample(count, gen))
+        out.append(sample_bin_counts(count, f_r.values / f_r.values.sum(), grid, gen))
     return out
 
 
@@ -250,8 +250,7 @@ class TestSimulateImage:
         assert np.array_equal(full.batches[0].times, only.batches[0].times)
 
     def test_fast_image_matches_per_pixel_reference(self, trained_model, default_sys, desk_grid):
-        # 2 blocks plus a partial one; one zero-energy pixel; at N = 1e4 the
-        # dim pixels stay below BULK_THRESHOLD and the bright ones go above.
+        # 2 blocks plus a partial one; one zero-energy pixel.
         sys_p = SystemParams(n_cycles=10_000)
         width, height = 13, 11
         assert (width * height) % BLOCK_PIXELS
@@ -268,10 +267,26 @@ class TestSimulateImage:
         counts = np.array([b.count for b in result.batches])
         assert np.array_equal(counts, [t.size for t in reference])
         assert counts[4 * width + 7] == 0
-        lit = counts[counts > 0]
-        assert lit.min() < CdfInverter.BULK_THRESHOLD <= lit.max()
         for batch, times in zip(result.batches, reference):
             assert np.allclose(batch.times, times, rtol=0, atol=1e-9)
+
+    def test_block_pixel_matches_lone_pixel(self, trained_model, default_sys, desk_grid):
+        # Every pixel of a block, around a zero-energy one, draws what it
+        # draws with the same stream when every other pixel of the block is dark.
+        tau = np.array([3.0, 3.5, 4.0, 4.5, 5.0])
+        s_level = np.array([1.0, 2.0, 0.0, 0.5, 3.0])
+        b_level = np.array([1.0, 0.5, 0.0, 1.5, 0.2])
+        rngs = [RngHandle(16, i) for i in range(tau.size)]
+        block = _simulate_block(default_sys, desk_grid, trained_model, tau, s_level, b_level, rngs, BLOCK_PIXELS)
+        assert block[2].count == 0
+        for i, batch in enumerate(block):
+            dark = np.arange(tau.size) != i
+            alone = _simulate_block(
+                default_sys, desk_grid, trained_model, tau,
+                np.where(dark, 0.0, s_level), np.where(dark, 0.0, b_level), rngs, BLOCK_PIXELS,
+            )
+            assert sum(b.count for b in alone) == batch.count
+            assert np.array_equal(batch.times, alone[i].times)
 
     def test_out_of_range_mask_warns_once(self, trained_model, default_sys, desk_grid):
         refl = np.ones((2, 3))
