@@ -60,22 +60,18 @@ def as_generator(rng: "RngHandle | np.random.Generator") -> np.random.Generator:
 
 @dataclass(frozen=True)
 class TimestampBatch:
-    """Relative photon timestamps in [0, t_r) plus the realized count."""
+    """Relative photon timestamps in [0, t_r)."""
 
     times: np.ndarray
-    count: int
 
     def __post_init__(self):
         times = np.ascontiguousarray(self.times, dtype=np.float64)
-        if self.count != times.size:
-            raise ParameterError(f"count {self.count} != number of timestamps {times.size}")
         times.flags.writeable = False
         object.__setattr__(self, "times", times)
 
-    @classmethod
-    def from_times(cls, times: np.ndarray) -> "TimestampBatch":
-        times = np.asarray(times, dtype=np.float64)
-        return cls(times=times, count=times.size)
+    @property
+    def count(self) -> int:
+        return self.times.size
 
 
 def sample_poisson_count(mean: float, rng: "RngHandle | np.random.Generator") -> int:
@@ -108,8 +104,10 @@ class CdfInverter:
     uniformly within the selected bin and the CDF inverts in O(log K).
     """
 
-    # Below this many draws, per-draw CDF inversion is cheaper than the
-    # bin-count decomposition used for large batches.
+    # Bin counts are the cheaper path from a few hundred draws up, but the
+    # oracle samples through this class: moving the threshold changes its
+    # random streams, and so every dataset's labels and the models trained
+    # on them.
     BULK_THRESHOLD = 2048
 
     def __init__(self, pdf: DiscretizedFunction):
@@ -152,7 +150,7 @@ def inverse_transform_sample(
     if n < 0:
         raise ParameterError(f"sample count must be non-negative, got {n}")
     inverter = CdfInverter(pdf)
-    return TimestampBatch.from_times(inverter.sample(n, as_generator(rng)))
+    return TimestampBatch(inverter.sample(n, as_generator(rng)))
 
 
 def simulate_arrivals(
@@ -169,7 +167,7 @@ def simulate_arrivals(
     gen = as_generator(rng)
     energy = env.energy
     if energy == 0:
-        return TimestampBatch.from_times(np.empty(0))
+        return TimestampBatch(np.empty(0))
     count = sample_poisson_count(sys.n_cycles * energy, gen)
     pdf = arrival_pdf(build_flux(sys, env, grid))
     return inverse_transform_sample(pdf, count, gen)
@@ -182,7 +180,7 @@ def write_times_csv(batch: TimestampBatch, path: "str | Path") -> None:
 
 def read_times_csv(path: "str | Path") -> TimestampBatch:
     times = np.loadtxt(path, dtype=np.float64, ndmin=1)
-    return TimestampBatch.from_times(times)
+    return TimestampBatch(times)
 
 
 _BIN_HEADER = struct.Struct("<Q")
@@ -204,4 +202,4 @@ def read_times_binary(path: "str | Path") -> TimestampBatch:
     if len(body) != 8 * count:
         raise FormatError(f"{path}: expected {count} timestamps, found {len(body) // 8}")
     times = np.frombuffer(body, dtype="<f8").astype(np.float64)
-    return TimestampBatch.from_times(times)
+    return TimestampBatch(times)

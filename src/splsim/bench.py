@@ -27,13 +27,6 @@ class BenchRow:
     photons: float          # mean registered photons over timed reps
 
 
-@dataclass(frozen=True)
-class BenchReport:
-    env: EnvParams
-    reps: int
-    rows: "list[BenchRow]"
-
-
 def run_benchmark(
     sys: SystemParams,
     env: EnvParams,
@@ -42,7 +35,7 @@ def run_benchmark(
     model: AEModel,
     grid: TimeGrid,
     rng: RngHandle,
-) -> BenchReport:
+) -> "list[BenchRow]":
     """Median-of-reps per-pixel runtime for both engines at each cycle count.
 
     Each cell runs one warm-up rep (excluded) and times each rep on the
@@ -74,14 +67,14 @@ def run_benchmark(
                     photons=float(np.mean(photons)),
                 )
             )
-    return BenchReport(env=env, reps=reps, rows=rows)
+    return rows
 
 
-def write_runtime_csv(report: BenchReport, path: "str | Path") -> None:
+def write_runtime_csv(rows: "list[BenchRow]", path: "str | Path") -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["engine", "n_cycles", "median_pixel_seconds", "mean_registered_photons"])
-        for row in report.rows:
+        for row in rows:
             writer.writerow([row.engine, row.n_cycles, f"{row.seconds:.9f}", f"{row.photons:.3f}"])
 
 

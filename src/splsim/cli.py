@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from .arrival import RngHandle, write_times_binary, write_times_csv
-from .config import merge_settings
+from .config import DEFAULTS, merge_settings
 from .core import (
     DegenerateDistributionError,
     EnvParams,
@@ -52,6 +52,7 @@ EXIT_RUNTIME = 4
 FULL_SCALE_SAMPLES = 11_000
 FULL_SCALE_BINS = 1024
 FULL_SCALE_EPOCHS = 5000
+DATASET_BINS = 256  # gen-dataset's grid resolution unless a flag or the config sets n_bins
 
 
 def _common_parser() -> argparse.ArgumentParser:
@@ -73,13 +74,13 @@ def _common_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _settings(args) -> dict:
+def _settings(args, defaults: dict = DEFAULTS) -> dict:
     overrides = {
         key: getattr(args, key, None)
         for key in ("t_r", "t_d", "sigma_t", "n_cycles", "tau", "s_level", "b_level", "seed")
     }
     overrides["n_bins"] = getattr(args, "bins", None)
-    return merge_settings(args.config, overrides)
+    return merge_settings(args.config, overrides, defaults)
 
 
 def _sys_params(s: dict) -> SystemParams:
@@ -103,12 +104,13 @@ def _require_out(args, what="--out") -> Path:
 
 
 def cmd_gen_dataset(args) -> int:
-    s = _settings(args)
+    if args.bins is None:
+        args.bins = args.dataset_bins
+    s = _settings(args, {**DEFAULTS, "n_bins": DATASET_BINS})
     if args.full_scale:
         n_samples, n_bins = FULL_SCALE_SAMPLES, FULL_SCALE_BINS
     else:
-        n_samples = args.n
-        n_bins = s["n_bins"] if args.bins is not None else args.dataset_bins
+        n_samples, n_bins = args.n, s["n_bins"]
     out = _require_out(args)
     sys_p = _sys_params(s)
     ds = generate_dataset(
@@ -211,7 +213,7 @@ def cmd_benchmark(args) -> int:
     sys_p = _sys_params(s)
     model = load_model(args.model)
     grid = TimeGrid(n_bins=model.n_bins, t_r=sys_p.t_r)
-    report = bench_mod.run_benchmark(
+    rows = bench_mod.run_benchmark(
         sys_p,
         _env_params(s),
         _parse_cycles(args.cycles),
@@ -220,7 +222,7 @@ def cmd_benchmark(args) -> int:
         grid,
         RngHandle(s["seed"]),
     )
-    bench_mod.write_runtime_csv(report, out)
+    bench_mod.write_runtime_csv(rows, out)
     print(f"benchmark written to {out}")
     return EXIT_OK
 
@@ -284,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-dataset", parents=[common], help="generate training pairs")
     p.add_argument("--n", type=int, default=2000, help="number of pairs (desk scale)")
-    p.add_argument("--dataset-bins", type=int, default=256, help="grid resolution when --bins is not given")
+    p.add_argument("--dataset-bins", type=int, help="grid resolution K; overrides n_bins from --config")
     p.add_argument("--realizations", type=int, default=20, help="realizations averaged per label")
     p.add_argument("--full-scale", action="store_true", help="11,000 pairs at K=1024")
     p.set_defaults(func=cmd_gen_dataset)

@@ -55,9 +55,9 @@ def load_config(path: "str | Path") -> dict:
     return values
 
 
-def merge_settings(config_path, overrides: dict) -> dict:
+def merge_settings(config_path, overrides: dict, defaults: dict = DEFAULTS) -> dict:
     """defaults <- config file <- explicit CLI overrides."""
-    settings = dict(DEFAULTS)
+    settings = dict(defaults)
     if config_path is not None:
         settings.update(load_config(config_path))
     settings.update({k: v for k, v in overrides.items() if v is not None})

@@ -9,7 +9,6 @@ count is modeled as Normal(R, R / (1 + E[g])^2) with R = N*Q / (1 + E[g]).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,40 +49,20 @@ def energy_loss_rows(flux: np.ndarray, grid: TimeGrid, t_d: float) -> np.ndarray
         raise ParameterError(
             f"dead time must be in [0, 2*t_r) for periodic extension, got {t_d}"
         )
-    periods, j, offset, span = _loss_positions(grid, float(t_d))
-    # Piecewise-linear cumulative mass over one period; cum[:, -1] is the energy Q.
-    cum = np.zeros((flux.shape[0], grid.n_bins + 1))
+    k = grid.n_bins
+    # Every window [c_i, c_i + t_d) starts half a bin into bin i and ends
+    # rho of the way into bin i + m, with the same m and rho for every bin.
+    m, rho = divmod(0.5 + t_d / grid.bin_width, 1.0)
+    end = np.arange(k) + int(m)
+    # Prefix sums over one period; cum[:, k] is the period's total.
+    cum = np.zeros((flux.shape[0], k + 1))
     np.cumsum(flux, axis=1, out=cum[:, 1:])
-    cum[:, 1:] *= grid.bin_width
-    # np.interp's slope * (x - x_j) + y_j at every position, then whole periods.
-    at = np.take(np.diff(cum, axis=1), j, axis=1)
-    at /= span
-    at *= offset
-    at += np.take(cum, j, axis=1)
-    at += periods * cum[:, -1:]
-    g = at[:, grid.n_bins :] - at[:, : grid.n_bins]
+    # The periodic prefix sum S(j) = cum[j mod K] + (j // K) * total, at j = i + m.
+    g = np.take(cum[:, :k], end, axis=1, mode="wrap") + (end // k) * cum[:, k:]
+    g -= cum[:, :k]
+    g += rho * np.take(flux, end, axis=1, mode="wrap") - 0.5 * flux
+    g *= grid.bin_width
     return np.maximum(g, 0.0, out=g)
-
-
-@functools.lru_cache(maxsize=16)
-def _loss_positions(grid: TimeGrid, t_d: float) -> "tuple[np.ndarray, ...]":
-    """Where energy_loss_rows reads the cumulative mass, as np.interp would.
-
-    The positions are every bin center and every bin center plus t_d, each
-    split into whole periods and a remainder inside bin j of the period.
-    Returns (periods, j, remainder - edges[j], edges[j + 1] - edges[j]),
-    read-only because every caller on the same grid shares them.
-    """
-    edges = grid.edges()
-    centers = grid.centers()
-    x = np.concatenate((centers, centers + t_d))
-    periods = np.floor(x / grid.t_r)
-    rem = x - periods * grid.t_r
-    j = np.clip(np.searchsorted(edges, rem, side="right") - 1, 0, grid.n_bins - 1)
-    out = (periods, j, rem - edges[j], np.diff(edges)[j])
-    for a in out:
-        a.flags.writeable = False
-    return out
 
 
 def _expected_loss_rows(f_r: np.ndarray, g: np.ndarray, bin_width: float) -> np.ndarray:

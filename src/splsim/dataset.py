@@ -53,11 +53,8 @@ class EnvRanges:
             if not lo <= hi:
                 raise ParameterError(f"invalid range ({lo}, {hi})")
 
-    def contains(self, env: EnvParams) -> bool:
-        return bool(self.inside(env.tau, env.s_level, env.b_level))
-
     def inside(self, tau, s_level, b_level):
-        """contains over environment vectors, element by element (or over three floats)."""
+        """Whether each environment lies in the ranges: over vectors, element by element, or over three floats."""
         return (
             (self.s_range[0] <= s_level) & (s_level <= self.s_range[1])
             & (self.b_range[0] <= b_level) & (b_level <= self.b_range[1])
@@ -259,8 +256,8 @@ def read_dataset(path: "str | Path") -> Dataset:
         raise FormatError(f"{path}: expected {expected} bytes, found {len(raw)}")
     records = np.frombuffer(raw, dtype=dtype, count=header.n_samples, offset=start)
     env = records["env"].astype(np.float64)
-    if not np.all(env >= 0):
-        raise FormatError(f"{path}: negative or NaN environment parameter")
+    if not np.all((env >= 0) & (env < np.inf)):
+        raise FormatError(f"{path}: negative or non-finite environment parameter")
     return Dataset(
         header=header,
         env=env,

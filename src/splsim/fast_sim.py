@@ -45,7 +45,7 @@ ENGINES = ("oracle", "fast")
 # memory while blocks of this size already amortize the per-call overhead.
 BLOCK_PIXELS = 64
 
-_EMPTY = TimestampBatch.from_times(np.empty(0))
+_EMPTY = TimestampBatch(np.empty(0))
 
 
 def _simulate_block(
@@ -84,16 +84,18 @@ def _simulate_block(
     for i, mean, std, mass in zip(active.tolist(), mean_r.tolist(), std_r.tolist(), bin_mass):
         gen = as_generator(rngs[i])
         times = sample_bin_counts(draw_count(mean, std, gen), mass, grid, gen)
-        batches[i] = TimestampBatch.from_times(times)
+        batches[i] = TimestampBatch(times)
     return batches
 
 
-def _check_ranges(ranges: EnvRanges, tau, s_level, b_level) -> np.ndarray:
-    """Mask of pixels with energy whose environment lies outside ``ranges``; warns once if any.
+def _check_ranges(tau, s_level, b_level) -> np.ndarray:
+    """Mask of pixels with energy whose environment lies outside the trained ranges; warns once if any.
 
-    Takes environment vectors, or the three floats of one pixel.
+    Takes environment vectors, or the three floats of one pixel. The trained
+    ranges are the default EnvRanges, those of every dataset the CLI
+    generates, because a model file does not record its own.
     """
-    outside = np.logical_and(s_level + b_level > 0, np.logical_not(ranges.inside(tau, s_level, b_level)))
+    outside = np.logical_and(s_level + b_level > 0, np.logical_not(EnvRanges().inside(tau, s_level, b_level)))
     if outside.any():
         warnings.warn(
             f"{np.count_nonzero(outside)} of {outside.size} pixel environment(s) lie outside "
@@ -109,14 +111,13 @@ def fast_simulate(
     model: AEModel,
     grid: TimeGrid,
     rng: "RngHandle | np.random.Generator",
-    ranges: EnvRanges = EnvRanges(),
 ) -> TimestampBatch:
     """One acquisition from the learned simulator: a block of one pixel.
 
     The timestamps come grouped by bin (see sample_bin_counts), so their
     order carries no information.
     """
-    _check_ranges(ranges, env.tau, env.s_level, env.b_level)
+    _check_ranges(env.tau, env.s_level, env.b_level)
     tau, s_level, b_level = (np.array([v]) for v in (env.tau, env.s_level, env.b_level))
     return _simulate_block(sys, grid, model, tau, s_level, b_level, [rng], n_rows=1)[0]
 
@@ -209,17 +210,15 @@ def read_scene(path: "str | Path") -> SceneSpec:
 class ImageResult:
     """Per-pixel simulation output for one engine."""
 
-    engine: str
     depth_estimate: np.ndarray      # NaN where a pixel registered no photon
-    valid: np.ndarray
     out_of_range: np.ndarray        # environment outside the trained ranges (all False for the oracle)
     batches: "list[TimestampBatch]"  # row-major pixel order
-    pixel_seconds: np.ndarray       # fast engine: its block's wall time per pixel
-    total_seconds: float
+    mean_pixel_seconds: float       # the engine's wall time over the pixel count
+    total_seconds: float            # the engine plus the depth estimates
 
     @property
-    def mean_pixel_seconds(self) -> float:
-        return float(self.pixel_seconds.mean())
+    def valid(self) -> np.ndarray:
+        return ~np.isnan(self.depth_estimate)
 
 
 def simulate_image(
@@ -229,7 +228,6 @@ def simulate_image(
     engine: str,
     rng: RngHandle,
     model: "AEModel | None" = None,
-    ranges: EnvRanges = EnvRanges(),
 ) -> ImageResult:
     """Simulate every pixel independently and estimate the depth map.
 
@@ -245,43 +243,35 @@ def simulate_image(
         raise ParameterError("the fast engine requires a trained model")
     h, w = scene.height, scene.width
     n_px = h * w
-    pixel_seconds = np.empty(n_px)
     batches: "list[TimestampBatch]" = []
     start_total = time.perf_counter()
     if engine == "oracle":
         out_of_range = np.zeros(n_px, dtype=bool)
         for idx in range(n_px):
             env = scene.env_at(*divmod(idx, w))
-            pixel_rng = rng.child(idx)
-            t0 = time.perf_counter()
-            batches.append(simulate_registrations(sys, env, grid, pixel_rng).rel_times)
-            pixel_seconds[idx] = time.perf_counter() - t0
+            batches.append(simulate_registrations(sys, env, grid, rng.child(idx)).rel_times)
     else:
         tau = scene.depths.ravel()
         s_level = (scene.reflectivity * scene.pulse_energy).ravel()
         b_level = np.full(n_px, scene.b_level)
-        out_of_range = _check_ranges(ranges, tau, s_level, b_level)
+        out_of_range = _check_ranges(tau, s_level, b_level)
         for start in range(0, n_px, BLOCK_PIXELS):
             block = slice(start, min(start + BLOCK_PIXELS, n_px))
-            t0 = time.perf_counter()
             batches += _simulate_block(
                 sys, grid, model, tau[block], s_level[block], b_level[block],
                 [rng.child(idx) for idx in range(block.start, block.stop)], n_rows=BLOCK_PIXELS,
             )
-            pixel_seconds[block] = (time.perf_counter() - t0) / (block.stop - block.start)
+    engine_seconds = time.perf_counter() - start_total
     depth = np.full(n_px, np.nan)
     for idx, batch in enumerate(batches):
         if batch.count:
             depth[idx] = estimate_depth(batch)
-    total = time.perf_counter() - start_total
     return ImageResult(
-        engine=engine,
         depth_estimate=depth.reshape(h, w),
-        valid=~np.isnan(depth).reshape(h, w),
         out_of_range=out_of_range.reshape(h, w),
         batches=batches,
-        pixel_seconds=pixel_seconds,
-        total_seconds=total,
+        mean_pixel_seconds=engine_seconds / max(n_px, 1),
+        total_seconds=time.perf_counter() - start_total,
     )
 
 

@@ -29,17 +29,18 @@ from .core import (
 
 @dataclass(frozen=True)
 class RegistrationResult:
-    """Registered relative timestamps plus arrival/registration counts."""
+    """Registered relative timestamps plus the arrival count m_a; m_r counts the timestamps."""
 
     rel_times: TimestampBatch
-    m_r: int
     m_a: int
 
     def __post_init__(self):
         if self.m_r > self.m_a:
             raise ParameterError("registrations cannot exceed arrivals")
-        if self.rel_times.count != self.m_r:
-            raise ParameterError("registered count does not match timestamp batch")
+
+    @property
+    def m_r(self) -> int:
+        return self.rel_times.count
 
 
 def cull_dead_time(abs_times: np.ndarray, t_d: float) -> np.ndarray:
@@ -90,11 +91,10 @@ def simulate_registrations(
     """Run the conventional simulator for one acquisition of N cycles."""
     gen = as_generator(rng)
     if env.energy == 0:
-        empty = TimestampBatch.from_times(np.empty(0))
-        return RegistrationResult(empty, 0, 0)
+        return RegistrationResult(TimestampBatch(np.empty(0)), 0)
     inverter = CdfInverter(arrival_pdf(build_flux(sys, env, grid)))
     rel_reg, m_a = _one_realization(inverter, sys, sys.n_cycles * env.energy, gen)
-    return RegistrationResult(TimestampBatch.from_times(rel_reg), rel_reg.size, m_a)
+    return RegistrationResult(TimestampBatch(rel_reg), m_a)
 
 
 def registration_counts(

@@ -28,6 +28,9 @@ from .core import (
 MODEL_MAGIC = b"SPLAE1"
 BOTTLENECK = 16
 LEAKY_SLOPE = 0.01
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 ACT_LINEAR = 0
 ACT_LEAKY_RELU = 1
@@ -63,7 +66,6 @@ class AEModel:
     biases: "list[np.ndarray]"
     activations: "list[int]"
     input_scale: float = 1.0
-    version: str = MODEL_MAGIC.decode()
 
     def __post_init__(self):
         n_affine = len(self.layer_dims) - 1
@@ -192,9 +194,6 @@ class TrainConfig:
     batch_size: int = 128
     epochs: int = 5000
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     val_every: int = 25
 
@@ -223,14 +222,14 @@ class AdamState:
 
     def update(self, params: "list[np.ndarray]", grads: "list[np.ndarray]", cfg: TrainConfig):
         self.step += 1
-        corr1 = 1.0 - cfg.beta1 ** self.step
-        corr2 = 1.0 - cfg.beta2 ** self.step
+        corr1 = 1.0 - ADAM_BETA1 ** self.step
+        corr2 = 1.0 - ADAM_BETA2 ** self.step
         for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * g * g
-            p -= cfg.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + cfg.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            p -= cfg.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPS)
 
 
 class TrainingDivergedError(RuntimeError):

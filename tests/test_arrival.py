@@ -14,7 +14,6 @@ from splsim import (
     RngHandle,
     SystemParams,
     TimeGrid,
-    TimestampBatch,
     arrival_pdf,
     build_flux,
     inverse_transform_sample,
@@ -287,7 +286,3 @@ class TestBatchIO:
         path.write_bytes(raw[:-4])
         with pytest.raises(FormatError):
             read_times_binary(path)
-
-    def test_batch_count_validated(self):
-        with pytest.raises(ParameterError):
-            TimestampBatch(times=np.zeros(3), count=2)

@@ -109,6 +109,15 @@ class TestGenAndTrain:
         assert ds.flux.shape == ds.label.shape == (4, 64)
         assert ds.grid.n_bins == 64
 
+    def test_gen_dataset_bins_from_config(self, tmp_path):
+        config = tmp_path / "c.txt"
+        config.write_text("n_bins=64\n")
+        common = ("gen-dataset", "--config", config, "--n", 3, "--realizations", 2, "--n-cycles", 100)
+        assert run(*common, "--out", tmp_path / "config.splds") == EXIT_OK
+        assert read_dataset(tmp_path / "config.splds").grid.n_bins == 64
+        assert run(*common, "--dataset-bins", 32, "--out", tmp_path / "flag.splds") == EXIT_OK
+        assert read_dataset(tmp_path / "flag.splds").grid.n_bins == 32
+
     def test_train_writes_model(self, tiny_setup, tmp_path, capsys):
         out = tmp_path / "model.splae"
         code = run(

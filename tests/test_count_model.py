@@ -23,12 +23,15 @@ from splsim.oracle import registration_counts
 
 
 def quadrature_loss(flux_fn, t_r, t_d, centers, n_sub=65536):
-    """Independent oracle: high-resolution quadrature of the extended flux."""
-    fine = (np.arange(2 * n_sub) + 0.5) * (t_r / n_sub)
+    """Independent oracle: high-resolution quadrature of the extended flux.
+
+    Three periods cover every window: it starts before t_r and t_d < 2 t_r.
+    """
+    fine = (np.arange(3 * n_sub) + 0.5) * (t_r / n_sub)
     fine_vals = flux_fn(np.mod(fine, t_r))
     d = t_r / n_sub
     cum = np.concatenate(([0.0], np.cumsum(fine_vals) * d))
-    xs = np.arange(2 * n_sub + 1) * d
+    xs = np.arange(3 * n_sub + 1) * d
     return np.interp(centers + t_d, xs, cum) - np.interp(centers, xs, cum)
 
 
@@ -44,7 +47,8 @@ class TestEnergyLoss:
         flux = DiscretizedFunction(grid, np.abs(np.sin(np.arange(128))) + 0.1)
         assert np.allclose(energy_loss_fn(flux, 0.0).values, 0.0)
 
-    def test_matches_quadrature(self):
+    @pytest.mark.parametrize("t_d", [8.0, 7.3, 0.5, 9.99, 12.5, 19.0])
+    def test_matches_quadrature(self, t_d):
         sys_p = SystemParams()
         env = EnvParams(4.0, 1.0, 1.0)
         grid = TimeGrid(1024, 10.0)
@@ -55,8 +59,8 @@ class TestEnergyLoss:
             pulse = np.exp(-0.5 * z * z) / (sys_p.sigma_t * math.sqrt(2 * math.pi))
             return env.s_level * pulse + env.b_level / sys_p.t_r
 
-        g = energy_loss_fn(flux, sys_p.t_d)
-        oracle = quadrature_loss(flux_fn, sys_p.t_r, sys_p.t_d, grid.centers())
+        g = energy_loss_fn(flux, t_d)
+        oracle = quadrature_loss(flux_fn, sys_p.t_r, t_d, grid.centers())
         assert np.all(np.abs(g.values - oracle) <= 0.005 * np.maximum(oracle, 1e-12))
 
     def test_linear_in_flux(self):

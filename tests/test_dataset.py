@@ -33,7 +33,7 @@ class TestEnvSampling:
         gen = RngHandle(100).generator()
         for _ in range(200):
             env = sample_env(gen, ranges)
-            assert ranges.contains(env)
+            assert ranges.inside(env.tau, env.s_level, env.b_level)
 
     def test_default_ranges_uniform(self):
         # Per-coordinate KS against the uniform CDF on the default box.
@@ -88,7 +88,8 @@ class TestGenerate:
 
     def test_envs_inside_ranges(self, desk_dataset):
         ranges = desk_dataset.header.ranges
-        assert all(ranges.contains(EnvParams(*row)) for row in desk_dataset.env)
+        tau, s_level, b_level = desk_dataset.env.T
+        assert ranges.inside(tau, s_level, b_level).all()
 
     def test_labels_are_pdfs(self, desk_dataset, desk_grid):
         labels = desk_dataset.label[:200]
@@ -241,8 +242,9 @@ class TestDatasetIO:
 
     def test_negative_env_rejected(self, tiny_setup, tmp_path):
         path = tmp_path / "negative.splds"
-        raw = bytearray(tiny_setup["dataset_path"].read_bytes())
-        struct.pack_into("<d", raw, _REF_START + 8, -1.0)  # S of the first sample
-        _write_with_crc(raw, path)
-        with pytest.raises(FormatError):
-            read_dataset(path)
+        for value in (-1.0, np.inf):
+            raw = bytearray(tiny_setup["dataset_path"].read_bytes())
+            struct.pack_into("<d", raw, _REF_START + 8, value)  # S of the first sample
+            _write_with_crc(raw, path)
+            with pytest.raises(FormatError):
+                read_dataset(path)

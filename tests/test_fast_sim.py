@@ -107,12 +107,12 @@ class TestFastSimulate:
 
 class TestDepthEstimate:
     def test_point_mass(self):
-        batch = TimestampBatch.from_times(np.full(100, 3.25))
+        batch = TimestampBatch(np.full(100, 3.25))
         assert estimate_depth(batch) == pytest.approx(3.25)
 
     def test_empty_raises(self):
         with pytest.raises(NoPhotonError):
-            estimate_depth(TimestampBatch.from_times(np.empty(0)))
+            estimate_depth(TimestampBatch(np.empty(0)))
 
 
 class TestSceneSpec:
@@ -226,8 +226,7 @@ class TestSimulateImage:
             scene, default_sys, desk_grid, "fast", RngHandle(12), model=trained_model
         )
         assert result.depth_estimate.shape == (2, 3)
-        assert result.pixel_seconds.shape == (6,)
-        assert result.total_seconds >= result.pixel_seconds.sum() * 0.5
+        assert 0 < result.mean_pixel_seconds * 6 <= result.total_seconds
 
     def test_pixel_streams_independent_of_traversal(
         self, trained_model, default_sys, desk_grid
