@@ -9,7 +9,6 @@ autoencoder that maps the arrival flux to the registration PDF.
 from .arrival import (
     RngHandle,
     TimestampBatch,
-    inverse_transform_sample,
     sample_poisson_count,
     simulate_arrivals,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "fast_simulate",
     "forward",
     "generate_dataset",
-    "inverse_transform_sample",
     "load_model",
     "predict_pdf",
     "ramp_scene",

@@ -1,9 +1,11 @@
 """Two-step photon arrival simulator: Poisson count, then i.i.d. timestamps.
 
 Counts follow Poisson(N * Q) and timestamps are drawn from the arrival PDF
-by inverse transform sampling on the discretized grid. All randomness flows
-through seedable, stream-addressable handles so any simulation is exactly
-reproducible.
+on the discretized grid: by inverse transform sampling for small counts
+and by multinomial bin counts for large ones (`CdfInverter.sample`). The
+conventional simulator draws its arrivals through the same `draw_arrivals`
+step. All randomness flows through seedable, stream-addressable handles so
+any simulation is exactly reproducible.
 """
 
 from __future__ import annotations
@@ -60,12 +62,12 @@ def as_generator(rng: "RngHandle | np.random.Generator") -> np.random.Generator:
 
 @dataclass(frozen=True)
 class TimestampBatch:
-    """Relative photon timestamps in [0, t_r)."""
+    """Relative photon timestamps in [0, t_r), held in a read-only copy of the input."""
 
     times: np.ndarray
 
     def __post_init__(self):
-        times = np.ascontiguousarray(self.times, dtype=np.float64)
+        times = np.array(self.times, dtype=np.float64, order="C")
         times.flags.writeable = False
         object.__setattr__(self, "times", times)
 
@@ -143,14 +145,9 @@ class CdfInverter:
         return sample_bin_counts(n, self._bin_mass, self.grid, gen)
 
 
-def inverse_transform_sample(
-    pdf: DiscretizedFunction, n: int, rng: "RngHandle | np.random.Generator"
-) -> TimestampBatch:
-    """Draw n i.i.d. timestamps from a discretized PDF."""
-    if n < 0:
-        raise ParameterError(f"sample count must be non-negative, got {n}")
-    inverter = CdfInverter(pdf)
-    return TimestampBatch(inverter.sample(n, as_generator(rng)))
+def draw_arrivals(inverter: CdfInverter, mean: float, gen: np.random.Generator) -> np.ndarray:
+    """One acquisition's relative arrival times: a Poisson(mean) count, then i.i.d. timestamps."""
+    return inverter.sample(sample_poisson_count(mean, gen), gen)
 
 
 def simulate_arrivals(
@@ -164,13 +161,10 @@ def simulate_arrivals(
     The count is Poisson(N * Q) and the relative timestamps are i.i.d.
     draws from the arrival PDF.
     """
-    gen = as_generator(rng)
-    energy = env.energy
-    if energy == 0:
+    if env.energy == 0:
         return TimestampBatch(np.empty(0))
-    count = sample_poisson_count(sys.n_cycles * energy, gen)
-    pdf = arrival_pdf(build_flux(sys, env, grid))
-    return inverse_transform_sample(pdf, count, gen)
+    inverter = CdfInverter(arrival_pdf(build_flux(sys, env, grid)))
+    return TimestampBatch(draw_arrivals(inverter, sys.n_cycles * env.energy, as_generator(rng)))
 
 
 def write_times_csv(batch: TimestampBatch, path: "str | Path") -> None:
@@ -201,5 +195,4 @@ def read_times_binary(path: "str | Path") -> TimestampBatch:
     body = raw[_BIN_HEADER.size:]
     if len(body) != 8 * count:
         raise FormatError(f"{path}: expected {count} timestamps, found {len(body) // 8}")
-    times = np.frombuffer(body, dtype="<f8").astype(np.float64)
-    return TimestampBatch(times)
+    return TimestampBatch(np.frombuffer(body, dtype="<f8"))

@@ -10,11 +10,12 @@ slow path that the learned simulator replaces.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arrival import CdfInverter, RngHandle, TimestampBatch, as_generator
+from .arrival import CdfInverter, RngHandle, TimestampBatch, as_generator, draw_arrivals
 from .core import (
     DegenerateDistributionError,
     DiscretizedFunction,
@@ -64,22 +65,35 @@ def cull_dead_time(abs_times: np.ndarray, t_d: float) -> np.ndarray:
     return np.asarray(registered, dtype=np.float64)
 
 
-def _one_realization(
-    inverter: CdfInverter,
+def _acquisitions(
     sys: SystemParams,
-    total_energy: float,
-    gen: np.random.Generator,
-) -> "tuple[np.ndarray, int]":
-    """One independent acquisition: returns (registered relative times, m_a)."""
-    m_a = int(gen.poisson(total_energy)) if total_energy > 0 else 0
-    if m_a == 0:
-        return np.empty(0), 0
-    rel = inverter.sample(m_a, gen)
-    cycles = gen.integers(0, sys.n_cycles, size=m_a)
-    abs_times = np.sort(rel + cycles * sys.t_r)
-    registered = cull_dead_time(abs_times, sys.t_d)
-    rel_reg = np.mod(registered, sys.t_r)
-    return rel_reg, m_a
+    env: EnvParams,
+    grid: TimeGrid,
+    gens: "Iterable[np.random.Generator]",
+) -> "Iterator[tuple[np.ndarray, int]]":
+    """Yield (registered relative times, m_a) for one acquisition per generator.
+
+    Each starts with a fresh (unblanked) detector, so dead time carries
+    across cycles but not across acquisitions.
+    """
+    if env.energy == 0:
+        for _ in gens:
+            yield np.empty(0), 0
+        return
+    inverter = CdfInverter(arrival_pdf(build_flux(sys, env, grid)))
+    total_energy = sys.n_cycles * env.energy
+    for gen in gens:
+        rel = draw_arrivals(inverter, total_energy, gen)
+        cycles = gen.integers(0, sys.n_cycles, size=rel.size)
+        registered = cull_dead_time(np.sort(rel + cycles * sys.t_r), sys.t_d)
+        yield np.mod(registered, sys.t_r), rel.size
+
+
+def _streams(rng: RngHandle, n_realizations: int) -> "Iterator[np.random.Generator]":
+    """One generator per realization, the i-th on the stream rng.child(i)."""
+    if n_realizations < 1:
+        raise ParameterError("need at least one realization")
+    return (rng.child(i).generator() for i in range(n_realizations))
 
 
 def simulate_registrations(
@@ -89,11 +103,7 @@ def simulate_registrations(
     rng: "RngHandle | np.random.Generator",
 ) -> RegistrationResult:
     """Run the conventional simulator for one acquisition of N cycles."""
-    gen = as_generator(rng)
-    if env.energy == 0:
-        return RegistrationResult(TimestampBatch(np.empty(0)), 0)
-    inverter = CdfInverter(arrival_pdf(build_flux(sys, env, grid)))
-    rel_reg, m_a = _one_realization(inverter, sys, sys.n_cycles * env.energy, gen)
+    rel_reg, m_a = next(_acquisitions(sys, env, grid, [as_generator(rng)]))
     return RegistrationResult(TimestampBatch(rel_reg), m_a)
 
 
@@ -105,16 +115,8 @@ def registration_counts(
     rng: RngHandle,
 ) -> "tuple[np.ndarray, np.ndarray]":
     """Arrival and registration counts over independent realizations."""
-    if n_realizations < 1:
-        raise ParameterError("need at least one realization")
-    inverter = CdfInverter(arrival_pdf(build_flux(sys, env, grid)))
-    total_energy = sys.n_cycles * env.energy
-    m_a = np.empty(n_realizations, dtype=np.int64)
-    m_r = np.empty(n_realizations, dtype=np.int64)
-    for i in range(n_realizations):
-        rel_reg, arrivals = _one_realization(inverter, sys, total_energy, rng.child(i).generator())
-        m_a[i] = arrivals
-        m_r[i] = rel_reg.size
+    realizations = _acquisitions(sys, env, grid, _streams(rng, n_realizations))
+    m_a, m_r = np.array([(arrivals, rel.size) for rel, arrivals in realizations], dtype=np.int64).T
     return m_a, m_r
 
 
@@ -131,20 +133,12 @@ def empirical_pdf(
     density; each realization uses its own random stream and starts with a
     fresh (unblanked) detector.
     """
-    if n_realizations < 1:
-        raise ParameterError("need at least one realization")
-    inverter = CdfInverter(arrival_pdf(build_flux(sys, env, grid)))
-    total_energy = sys.n_cycles * env.energy
     edges = grid.edges()
     counts = np.zeros(grid.n_bins, dtype=np.float64)
     total = 0
-    for i in range(n_realizations):
-        rel_reg, _ = _one_realization(inverter, sys, total_energy, rng.child(i).generator())
-        if rel_reg.size:
-            counts += np.histogram(rel_reg, bins=edges)[0]
-            total += rel_reg.size
+    for rel_reg, _ in _acquisitions(sys, env, grid, _streams(rng, n_realizations)):
+        counts += np.histogram(rel_reg, bins=edges)[0]
+        total += rel_reg.size
     if total == 0:
-        raise DegenerateDistributionError(
-            "no photons registered; cannot build an empirical PDF"
-        )
+        raise DegenerateDistributionError("no photons registered; cannot build an empirical PDF")
     return DiscretizedFunction(grid, counts / (total * grid.bin_width))

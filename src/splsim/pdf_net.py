@@ -345,19 +345,21 @@ def load_model(path: "str | Path") -> AEModel:
         off += n_dims - 1
         (input_scale,) = struct.unpack_from("<d", raw, off)
         off += 8
-        weights, biases = [], []
-        for i in range(n_dims - 1):
-            out_dim, in_dim = dims[i + 1], dims[i]
-            w = np.frombuffer(raw, dtype="<f8", count=out_dim * in_dim, offset=off)
-            off += 8 * out_dim * in_dim
-            b = np.frombuffer(raw, dtype="<f8", count=out_dim, offset=off)
-            off += 8 * out_dim
-            weights.append(w.reshape(out_dim, in_dim).astype(np.float64))
-            biases.append(b.astype(np.float64))
-    except (struct.error, ValueError) as exc:
+    except struct.error as exc:
         raise FormatError(f"{path}: truncated or malformed model file") from exc
-    if off != len(raw) - 4:
-        raise FormatError(f"{path}: trailing bytes in model file")
+    if min(dims) < 1 or dims[0] != dims[-1]:
+        raise FormatError(f"{path}: layer widths {dims} must be positive and end where they start")
+    n_params = sum(out_dim * (in_dim + 1) for in_dim, out_dim in zip(dims, dims[1:]))
+    if 8 * n_params != len(raw) - 4 - off:
+        raise FormatError(f"{path}: layer widths {dims} do not match {len(raw) - 4 - off} parameter bytes")
+    weights, biases = [], []
+    for in_dim, out_dim in zip(dims, dims[1:]):
+        w = np.frombuffer(raw, dtype="<f8", count=out_dim * in_dim, offset=off)
+        off += 8 * out_dim * in_dim
+        b = np.frombuffer(raw, dtype="<f8", count=out_dim, offset=off)
+        off += 8 * out_dim
+        weights.append(w.reshape(out_dim, in_dim).astype(np.float64))
+        biases.append(b.astype(np.float64))
     try:
         return AEModel(dims, weights, biases, acts, input_scale=input_scale)
     except ParameterError as exc:

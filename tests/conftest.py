@@ -4,18 +4,45 @@ The desk-scale fixtures are expensive (tens of seconds) and session-scoped;
 everything derived from them is deterministic for the pinned seeds.
 """
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
 from splsim import SystemParams, TimeGrid
 from splsim.dataset import generate_dataset, write_dataset
-from splsim.pdf_net import TrainConfig, build_model, save_model, train
+from splsim.pdf_net import MODEL_MAGIC, TrainConfig, build_model, save_model, train
 
 DESK_SEED = 123
 DESK_BINS = 256
 DESK_PAIRS = 2000
 DESK_REALIZATIONS = 20
 DESK_EPOCHS = 300
+
+# Layer widths no consistent model file declares: too wide for any file,
+# zero-wide, and an output width unlike the input width.
+HOSTILE_MODEL_DIMS = (
+    pytest.param([2**32 - 1] * 3, id="too-wide"),
+    pytest.param([0, 0], id="zero-wide"),
+    pytest.param([64, 16, 32], id="out-unlike-in"),
+)
+
+
+def write_model_file(path, dims, max_params=4096):
+    """A model file declaring dims, with linear layers and a valid CRC.
+
+    Every parameter is 1, so the network output has mass; the file holds
+    one per declared parameter, up to max_params.
+    """
+    declared = sum(out_dim * (in_dim + 1) for in_dim, out_dim in zip(dims, dims[1:]))
+    buf = bytearray(MODEL_MAGIC)
+    buf += struct.pack(f"<I{len(dims)}I", len(dims), *dims)
+    buf += bytes(len(dims) - 1)
+    buf += struct.pack("<d", 1.0)
+    buf += np.ones(min(declared, max_params), dtype="<f8").tobytes()
+    buf += struct.pack("<I", zlib.crc32(bytes(buf)))
+    path.write_bytes(bytes(buf))
 
 
 @pytest.fixture(scope="session")

@@ -14,9 +14,9 @@ from splsim import (
     RngHandle,
     SystemParams,
     TimeGrid,
+    TimestampBatch,
     arrival_pdf,
     build_flux,
-    inverse_transform_sample,
     sample_poisson_count,
     simulate_arrivals,
 )
@@ -94,21 +94,15 @@ class TestInverseTransform:
         values = np.zeros(256)
         values[37] = 1.0 / grid.bin_width
         pdf = DiscretizedFunction(grid, values)
-        batch = inverse_transform_sample(pdf, 500, RngHandle(3))
+        times = CdfInverter(pdf).sample(500, RngHandle(3).generator())
         lo, hi = 37 * grid.bin_width, 38 * grid.bin_width
-        assert np.all((batch.times >= lo) & (batch.times < hi))
+        assert np.all((times >= lo) & (times < hi))
 
     def test_unnormalized_rejected(self):
         grid = TimeGrid(64, 10.0)
         not_pdf = DiscretizedFunction(grid, np.full(64, 0.2))
         with pytest.raises(ParameterError):
-            inverse_transform_sample(not_pdf, 10, RngHandle(0))
-
-    def test_negative_count_rejected(self):
-        grid = TimeGrid(64, 10.0)
-        pdf = DiscretizedFunction(grid, np.full(64, 0.1))
-        with pytest.raises(ParameterError):
-            inverse_transform_sample(pdf, -1, RngHandle(0))
+            CdfInverter(not_pdf)
 
     @pytest.mark.parametrize("n", [1000, 1_000_000])
     def test_chi_square_goodness_of_fit(self, n):
@@ -116,8 +110,8 @@ class TestInverseTransform:
         sys_p = SystemParams()
         grid = TimeGrid(256, 10.0)
         pdf = arrival_pdf(build_flux(sys_p, EnvParams(4.0, 1.0, 1.0), grid))
-        batch = inverse_transform_sample(pdf, n, RngHandle(17))
-        observed = np.histogram(batch.times, bins=grid.edges())[0]
+        times = CdfInverter(pdf).sample(n, RngHandle(17).generator())
+        observed = np.histogram(times, bins=grid.edges())[0]
         expected = pdf.values * grid.bin_width * n
         keep = expected >= 5
         result = stats.chisquare(
@@ -259,6 +253,13 @@ class TestSimulateArrivals:
 
 
 class TestBatchIO:
+    def test_batch_copies_caller_array(self):
+        a = np.array([1.0, 2.0])
+        batch = TimestampBatch(a)
+        a[0] = 5.0
+        assert batch.times[0] == 1.0
+        assert not batch.times.flags.writeable
+
     def _batch(self):
         return simulate_arrivals(
             SystemParams(n_cycles=100), EnvParams(4.0, 1.0, 1.0), TimeGrid(128, 10.0), RngHandle(1)

@@ -7,6 +7,8 @@ from splsim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, main
 from splsim.config import load_config, merge_settings
 from splsim.core import ParameterError
 
+from conftest import HOSTILE_MODEL_DIMS, write_model_file
+
 
 def run(*argv):
     return main([str(a) for a in argv])
@@ -75,6 +77,13 @@ class TestExitCodes:
         raw[21] ^= 0x10  # exponent byte of t_d
         bad.write_bytes(bytes(raw))
         code = run("train", "--dataset", bad, "--out", tmp_path / "m.splae")
+        assert code == EXIT_RUNTIME
+
+    @pytest.mark.parametrize("dims", HOSTILE_MODEL_DIMS)
+    def test_hostile_model_is_runtime_error(self, tmp_path, dims):
+        bad = tmp_path / "hostile.splae"
+        write_model_file(bad, dims)
+        code = run("simulate", "--engine", "fast", "--model", bad, "--out", tmp_path / "o")
         assert code == EXIT_RUNTIME
 
     def test_malformed_scene_is_runtime_error(self, tmp_path):

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from splsim import (
     DegenerateDistributionError,
     EnvParams,
+    ParameterError,
     RngHandle,
     SystemParams,
     TimeGrid,
@@ -36,10 +39,60 @@ class TestCull:
         assert np.array_equal(out, [1.0, 3.0])
 
     def test_negative_dead_time_rejected(self):
-        from splsim import ParameterError
-
         with pytest.raises(ParameterError):
             cull_dead_time(np.array([1.0]), -0.5)
+
+
+def dropped_after(times, kept):
+    """Each arrival missing from kept, with the registration before it (None if none).
+
+    Asserts that kept is an in-order subsequence of times.
+    """
+    dropped, j = [], 0
+    for a in times.tolist():
+        if j < kept.size and a == kept[j]:
+            j += 1
+        else:
+            dropped.append((a, kept[j - 1] if j else None))
+    assert j == kept.size, "output is not an in-order subsequence of the input"
+    return dropped
+
+
+# Sorted arrivals built from their gaps, so runs of arrivals closer than
+# the dead time are common and ties occur.
+sorted_arrivals = st.lists(st.floats(0.0, 10.0), max_size=300).map(
+    lambda gaps: np.cumsum(np.array(gaps, dtype=np.float64))
+)
+dead_times = st.one_of(st.just(0.0), st.floats(0.0, 30.0))
+
+# Fixed example sequence, so that the suite draws the same cases on every run.
+CULL_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+class TestCullProperties:
+    @CULL_SETTINGS
+    @given(times=sorted_arrivals, t_d=dead_times)
+    def test_output_is_in_order_subsequence(self, times, t_d):
+        kept = cull_dead_time(times, t_d)
+        assert len(dropped_after(times, kept)) == times.size - kept.size
+
+    @CULL_SETTINGS
+    @given(times=sorted_arrivals, t_d=dead_times)
+    def test_registrations_at_least_dead_time_apart(self, times, t_d):
+        assert np.all(np.diff(cull_dead_time(times, t_d)) >= t_d)
+
+    @CULL_SETTINGS
+    @given(times=sorted_arrivals, t_d=dead_times)
+    def test_dropped_arrivals_fall_in_dead_time(self, times, t_d):
+        # Greedy-maximal: an arrival is dropped only while the detector is
+        # still dead from the last registration, never from another drop.
+        for a, last in dropped_after(times, cull_dead_time(times, t_d)):
+            assert last is not None and a - last < t_d
+
+    @CULL_SETTINGS
+    @given(times=sorted_arrivals)
+    def test_zero_dead_time_returns_input(self, times):
+        assert np.array_equal(cull_dead_time(times, 0.0), times)
 
 
 class TestSimulateRegistrations:
@@ -73,6 +126,14 @@ class TestSimulateRegistrations:
         )
         assert reg.m_a == reg.m_r == 0
 
+    def test_arrivals_drawn_as_simulate_arrivals(self):
+        sys_p = SystemParams()
+        grid = TimeGrid(256, 10.0)
+        env = EnvParams(4.0, 2.0, 1.0)
+        for i in range(10):
+            reg = simulate_registrations(sys_p, env, grid, RngHandle(35, i))
+            assert reg.m_a == simulate_arrivals(sys_p, env, grid, RngHandle(35, i)).count
+
     def test_determinism(self):
         sys_p = SystemParams()
         grid = TimeGrid(256, 10.0)
@@ -84,6 +145,18 @@ class TestSimulateRegistrations:
 
 
 class TestCountPhenomenology:
+    def test_zero_energy_counts(self):
+        m_a, m_r = registration_counts(
+            SystemParams(), EnvParams(4.0, 0.0, 0.0), TimeGrid(64, 10.0), 5, RngHandle(0)
+        )
+        assert np.array_equal(m_a, np.zeros(5)) and np.array_equal(m_r, np.zeros(5))
+
+    def test_needs_one_realization(self):
+        args = (SystemParams(), EnvParams(4.0, 1.0, 1.0), TimeGrid(64, 10.0), 0, RngHandle(0))
+        for run in (registration_counts, empirical_pdf):
+            with pytest.raises(ParameterError):
+                run(*args)
+
     def test_registration_count_concentrates(self):
         sys_p = SystemParams()
         grid = TimeGrid(256, 10.0)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,8 @@ from splsim.pdf_net import (
     loss_mse,
     standard_layer_dims,
 )
+
+from conftest import HOSTILE_MODEL_DIMS, write_model_file
 
 TOY_DIMS = [16, 8, 16]
 
@@ -290,6 +294,20 @@ class TestModelIO:
         path.write_bytes(path.read_bytes() + b"\x00" * 8)
         with pytest.raises(FormatError):
             load_model(path)
+
+    @pytest.mark.parametrize("dims", HOSTILE_MODEL_DIMS)
+    def test_hostile_layer_widths(self, tmp_path, dims):
+        path = tmp_path / "hostile.splae"
+        write_model_file(path, dims)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError):
+                load_model(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Bounded by the file, plus a fixed 64 KiB for raising the error.
+        assert peak < 4 * path.stat().st_size + (1 << 16)
 
 
 class TestDeskModel:
