@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from .arrival import RngHandle, write_times_binary, write_times_csv
-from .config import DEFAULTS, merge_settings
+from .config import DEFAULTS, SETTINGS, merge_settings
 from .core import (
     DegenerateDistributionError,
     EnvParams,
@@ -36,6 +36,7 @@ from .fast_sim import (
 )
 from .oracle import empirical_pdf, simulate_registrations
 from .pdf_net import (
+    AEModel,
     TrainConfig,
     build_model,
     load_model,
@@ -49,37 +50,21 @@ EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_RUNTIME = 4
 
-FULL_SCALE_SAMPLES = 11_000
-FULL_SCALE_BINS = 1024
-FULL_SCALE_EPOCHS = 5000
 DATASET_BINS = 256  # gen-dataset's grid resolution unless a flag or the config sets n_bins
 
+SYSTEM_KEYS = ("t_r", "t_d", "sigma_t", "n_cycles")
 
-def _common_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--config", type=Path, help="key=value parameter file")
-    p.add_argument("--seed", type=int, help="random seed")
-    p.add_argument("--bins", type=int, help="time grid resolution K")
-    p.add_argument("--out", type=Path, help="output file or directory")
-    for flag, key in (
-        ("--t-r", "t_r"),
-        ("--t-d", "t_d"),
-        ("--sigma-t", "sigma_t"),
-        ("--tau", "tau"),
-        ("--s-level", "s_level"),
-        ("--b-level", "b_level"),
-    ):
-        p.add_argument(flag, dest=key, type=float)
-    p.add_argument("--n-cycles", dest="n_cycles", type=int)
-    return p
+
+def _add_settings(p: argparse.ArgumentParser, *keys: str) -> None:
+    """--config plus one flag for each setting the command reads."""
+    p.add_argument("--config", type=Path, help="key=value settings file (unread keys are ignored)")
+    for key in keys:
+        setting = SETTINGS[key]
+        p.add_argument(setting.flag, dest=key, type=setting.type, help=setting.help)
 
 
 def _settings(args, defaults: dict = DEFAULTS) -> dict:
-    overrides = {
-        key: getattr(args, key, None)
-        for key in ("t_r", "t_d", "sigma_t", "n_cycles", "tau", "s_level", "b_level", "seed")
-    }
-    overrides["n_bins"] = getattr(args, "bins", None)
+    overrides = {key: getattr(args, key, None) for key in SETTINGS}
     return merge_settings(args.config, overrides, defaults)
 
 
@@ -93,35 +78,35 @@ def _env_params(s: dict) -> EnvParams:
     return EnvParams(tau=s["tau"], s_level=s["s_level"], b_level=s["b_level"])
 
 
-def _grid(s: dict) -> TimeGrid:
-    return TimeGrid(n_bins=s["n_bins"], t_r=s["t_r"])
+def _grid(args, s: dict, model: "AEModel | None" = None) -> TimeGrid:
+    """The run's time grid: K is the model's when a model is given, else n_bins.
+
+    A --bins flag that disagrees with the model's K is a validation error.
+    """
+    if model is None:
+        return TimeGrid(n_bins=s["n_bins"], t_r=s["t_r"])
+    bins = getattr(args, "n_bins", None)
+    if bins is not None and bins != model.n_bins:
+        raise ParameterError(f"--bins {bins} disagrees with the model's {model.n_bins} bins")
+    return TimeGrid(n_bins=model.n_bins, t_r=s["t_r"])
 
 
-def _require_out(args, what="--out") -> Path:
+def _require_out(args) -> Path:
     if args.out is None:
-        raise ParameterError(f"{what} is required for this subcommand")
+        raise ParameterError("--out is required for this subcommand")
     return args.out
 
 
 def cmd_gen_dataset(args) -> int:
-    if args.bins is None:
-        args.bins = args.dataset_bins
     s = _settings(args, {**DEFAULTS, "n_bins": DATASET_BINS})
-    if args.full_scale:
-        n_samples, n_bins = FULL_SCALE_SAMPLES, FULL_SCALE_BINS
-    else:
-        n_samples, n_bins = args.n, s["n_bins"]
     out = _require_out(args)
     sys_p = _sys_params(s)
+    grid = _grid(args, s)
     ds = generate_dataset(
-        sys_p,
-        TimeGrid(n_bins=n_bins, t_r=sys_p.t_r),
-        n_samples=n_samples,
-        n_realizations=args.realizations,
-        seed=s["seed"],
+        sys_p, grid, n_samples=args.n, n_realizations=args.realizations, seed=s["seed"]
     )
     write_dataset(ds, out)
-    print(f"wrote {n_samples} pairs at K={n_bins} to {out}")
+    print(f"wrote {args.n} pairs at K={grid.n_bins} to {out}")
     return EXIT_OK
 
 
@@ -131,20 +116,21 @@ def cmd_train(args) -> int:
     ds = read_dataset(args.dataset)
     train_x, train_y = ds.arrays("train")
     test_x, test_y = ds.arrays("test")
-    epochs = FULL_SCALE_EPOCHS if args.full_scale else args.epochs
     cfg = TrainConfig(
         batch_size=args.batch_size,
-        epochs=epochs,
+        epochs=args.epochs,
         learning_rate=args.lr,
         seed=s["seed"],
     )
     model = build_model(ds.grid.n_bins, input_scale=ds.grid.bin_width, seed=s["seed"])
     result = train(model, train_x, train_y, cfg, val_x=test_x, val_y=test_y)
     save_model(result.model, out)
-    final_val = result.val_loss[-1][1] if result.val_loss else float("nan")
+    held_out = (
+        f"held-out loss {result.val_loss[-1][1]:.6g}" if result.val_loss else "no held-out split"
+    )
     print(
-        f"trained {epochs} epochs; final train loss {result.train_loss[-1]:.6g}, "
-        f"held-out loss {final_val:.6g}; model written to {out}"
+        f"trained {args.epochs} epochs; final train loss {result.train_loss[-1]:.6g}, "
+        f"{held_out}; model written to {out}"
     )
     return EXIT_OK
 
@@ -158,9 +144,9 @@ def cmd_simulate(args) -> int:
     model = load_model(args.model) if args.model else None
     if args.engine == "fast" and model is None:
         raise ParameterError("--model is required with --engine fast")
+    grid = _grid(args, s, model)
     if args.scene is not None:
         scene = read_scene(args.scene)
-        grid = TimeGrid(n_bins=model.n_bins if model else s["n_bins"], t_r=sys_p.t_r)
         result = simulate_image(scene, sys_p, grid, args.engine, rng, model=model)
         write_depth_csv(result.depth_estimate, out / f"depth_{args.engine}.csv")
         with open(out / f"runtime_{args.engine}.csv", "w") as fh:
@@ -168,7 +154,6 @@ def cmd_simulate(args) -> int:
             fh.write(f"{args.engine},{result.total_seconds:.9f},{result.mean_pixel_seconds:.9f}\n")
         print(f"simulated {scene.height}x{scene.width} scene with the {args.engine} engine")
     else:
-        grid = TimeGrid(n_bins=model.n_bins if model else s["n_bins"], t_r=sys_p.t_r)
         env = _env_params(s)
         if args.engine == "oracle":
             batch = simulate_registrations(sys_p, env, grid, rng).rel_times
@@ -184,12 +169,11 @@ def cmd_estimate_count(args) -> int:
     s = _settings(args)
     sys_p = _sys_params(s)
     env = _env_params(s)
-    if args.model:
-        model = load_model(args.model)
-        grid = TimeGrid(n_bins=model.n_bins, t_r=sys_p.t_r)
+    model = load_model(args.model) if args.model else None
+    grid = _grid(args, s, model)
+    if model is not None:
         f_r = predict_pdf(model, build_flux(sys_p, env, grid))
     else:
-        grid = _grid(s)
         f_r = empirical_pdf(sys_p, env, grid, args.realizations, RngHandle(s["seed"]))
     est = estimate_count(sys_p, env, f_r)
     print("mean_r,std_r,e_loss")
@@ -210,13 +194,14 @@ def _parse_cycles(spec: str) -> "list[int]":
 def cmd_benchmark(args) -> int:
     s = _settings(args)
     out = _require_out(args)
-    sys_p = _sys_params(s)
+    cycles = _parse_cycles(args.cycles)
+    sys_p = _sys_params({**s, "n_cycles": cycles[0]})  # --cycles sets N, not n_cycles
     model = load_model(args.model)
-    grid = TimeGrid(n_bins=model.n_bins, t_r=sys_p.t_r)
+    grid = _grid(args, s, model)
     rows = bench_mod.run_benchmark(
         sys_p,
         _env_params(s),
-        _parse_cycles(args.cycles),
+        cycles,
         args.reps,
         model,
         grid,
@@ -233,13 +218,13 @@ def cmd_plot_data(args) -> int:
     sys_p = _sys_params(s)
     if args.kind == "count-hist":
         bench_mod.write_count_hist_csv(
-            sys_p, _env_params(s), _grid(s), args.realizations, RngHandle(s["seed"]), out
+            sys_p, _env_params(s), _grid(args, s), args.realizations, RngHandle(s["seed"]), out
         )
     else:  # pdf-compare
         if not args.model:
             raise ParameterError("--model is required for pdf-compare")
         model = load_model(args.model)
-        grid = TimeGrid(n_bins=model.n_bins, t_r=sys_p.t_r)
+        grid = _grid(args, s, model)
         env = _env_params(s)
         oracle_pdf = empirical_pdf(sys_p, env, grid, args.realizations, RngHandle(s["seed"]))
         predicted = predict_pdf(model, build_flux(sys_p, env, grid))
@@ -254,7 +239,7 @@ def cmd_depth_demo(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     sys_p = _sys_params(s)
     model = load_model(args.model)
-    grid = TimeGrid(n_bins=model.n_bins, t_r=sys_p.t_r)
+    grid = _grid(args, s, model)
     scene = ramp_scene(
         args.width, args.height, b_level=s["b_level"], pulse_energy=args.pulse_energy
     )
@@ -277,52 +262,61 @@ def cmd_depth_demo(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _common_parser()
     parser = argparse.ArgumentParser(
         prog="splsim",
         description="Single-photon LiDAR timestamp simulation toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-dataset", parents=[common], help="generate training pairs")
+    p = sub.add_parser("gen-dataset", help="generate training pairs")
+    _add_settings(p, *SYSTEM_KEYS, "n_bins", "seed")
+    p.add_argument("--out", type=Path, help="output dataset file")
     p.add_argument("--n", type=int, default=2000, help="number of pairs (desk scale)")
-    p.add_argument("--dataset-bins", type=int, help="grid resolution K; overrides n_bins from --config")
     p.add_argument("--realizations", type=int, default=20, help="realizations averaged per label")
-    p.add_argument("--full-scale", action="store_true", help="11,000 pairs at K=1024")
     p.set_defaults(func=cmd_gen_dataset)
 
-    p = sub.add_parser("train", parents=[common], help="train the PDF mapper")
+    p = sub.add_parser("train", help="train the PDF mapper")
+    _add_settings(p, "seed")
+    p.add_argument("--out", type=Path, help="output model file")
     p.add_argument("--dataset", type=Path, required=True)
     p.add_argument("--epochs", type=int, default=300)
     p.add_argument("--batch-size", type=int, default=128)
     p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--full-scale", action="store_true", help=f"train for {FULL_SCALE_EPOCHS} epochs")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("simulate", parents=[common], help="simulate timestamps or a scene")
+    p = sub.add_parser("simulate", help="simulate timestamps or a scene")
+    _add_settings(p, *SETTINGS)
+    p.add_argument("--out", type=Path, help="output directory")
     p.add_argument("--engine", choices=("oracle", "fast"), required=True)
     p.add_argument("--scene", type=Path, help="scene file; omit for a single pixel")
     p.add_argument("--model", type=Path, help="trained model (required for fast engine)")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("estimate-count", parents=[common], help="registration count estimate")
+    p = sub.add_parser("estimate-count", help="registration count estimate")
+    _add_settings(p, *SETTINGS)
     p.add_argument("--model", type=Path, help="use the network-predicted PDF")
     p.add_argument("--realizations", type=int, default=20, help="oracle realizations for f_r")
     p.set_defaults(func=cmd_estimate_count)
 
-    p = sub.add_parser("benchmark", parents=[common], help="runtime-vs-cycles comparison")
+    p = sub.add_parser("benchmark", help="runtime-vs-cycles comparison")
+    _add_settings(p, "t_r", "t_d", "sigma_t", "tau", "s_level", "b_level", "seed")
+    p.add_argument("--out", type=Path, help="output CSV file")
     p.add_argument("--cycles", default="100,1000,10000", help="comma-separated cycle counts")
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--model", type=Path, required=True)
     p.set_defaults(func=cmd_benchmark)
 
-    p = sub.add_parser("plot-data", parents=[common], help="emit figure data as CSV")
+    p = sub.add_parser("plot-data", help="emit figure data as CSV")
+    _add_settings(p, *SETTINGS)
+    p.add_argument("--out", type=Path, help="output CSV file")
     p.add_argument("--kind", choices=("count-hist", "pdf-compare"), required=True)
     p.add_argument("--realizations", type=int, default=5000)
     p.add_argument("--model", type=Path)
     p.set_defaults(func=cmd_plot_data)
 
-    p = sub.add_parser("depth-demo", parents=[common], help="two-engine depth map demo")
+    p = sub.add_parser("depth-demo", help="two-engine depth map demo")
+    _add_settings(p, *SYSTEM_KEYS, "b_level", "seed")
+    p.add_argument("--out", type=Path, help="output directory")
     p.add_argument("--width", type=int, default=24)
     p.add_argument("--height", type=int, default=16)
     p.add_argument("--pulse-energy", type=float, default=2.0)

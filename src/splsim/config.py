@@ -1,38 +1,38 @@
-"""Simple key=value configuration files with CLI overrides.
+"""The settings table, key=value configuration files and CLI overrides.
 
-Recognized keys: t_r, t_d, sigma_t, n_cycles, tau, s_level, b_level,
-n_bins, seed. Lines starting with '#' and blank lines are ignored.
+SETTINGS is the one list of settable values: each key with its CLI flag,
+type, default and help text. A config file may set any of these keys;
+lines starting with '#' and blank lines are ignored.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
+from typing import NamedTuple
 
 from .core import ParameterError
 
-CONFIG_KEYS = {
-    "t_r": float,
-    "t_d": float,
-    "sigma_t": float,
-    "n_cycles": int,
-    "tau": float,
-    "s_level": float,
-    "b_level": float,
-    "n_bins": int,
-    "seed": int,
+
+class Setting(NamedTuple):
+    flag: str
+    type: type
+    default: "float | int"
+    help: str
+
+
+SETTINGS = {
+    "t_r": Setting("--t-r", float, 10.0, "cycle period t_r"),
+    "t_d": Setting("--t-d", float, 8.0, "detector dead time t_d"),
+    "sigma_t": Setting("--sigma-t", float, 0.1, "pulse width sigma_t"),
+    "n_cycles": Setting("--n-cycles", int, 1000, "laser cycles N per acquisition"),
+    "tau": Setting("--tau", float, 4.0, "pulse delay tau"),
+    "s_level": Setting("--s-level", float, 1.0, "signal level S"),
+    "b_level": Setting("--b-level", float, 1.0, "background level B"),
+    "n_bins": Setting("--bins", int, 1024, "time grid resolution K"),
+    "seed": Setting("--seed", int, 0, "random seed"),
 }
 
-DEFAULTS = {
-    "t_r": 10.0,
-    "t_d": 8.0,
-    "sigma_t": 0.1,
-    "n_cycles": 1000,
-    "tau": 4.0,
-    "s_level": 1.0,
-    "b_level": 1.0,
-    "n_bins": 1024,
-    "seed": 0,
-}
+DEFAULTS = {key: setting.default for key, setting in SETTINGS.items()}
 
 
 def load_config(path: "str | Path") -> dict:
@@ -46,10 +46,10 @@ def load_config(path: "str | Path") -> dict:
             raise ParameterError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key not in CONFIG_KEYS:
+        if key not in SETTINGS:
             raise ParameterError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            values[key] = CONFIG_KEYS[key](raw.strip())
+            values[key] = SETTINGS[key].type(raw.strip())
         except ValueError as exc:
             raise ParameterError(f"{path}:{lineno}: bad value for {key}: {raw.strip()!r}") from exc
     return values

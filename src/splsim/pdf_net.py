@@ -85,6 +85,8 @@ class AEModel:
                 raise ParameterError(f"layer {i}: non-finite parameters")
             if self.activations[i] not in (ACT_LINEAR, ACT_LEAKY_RELU):
                 raise ParameterError(f"layer {i}: unknown activation id {self.activations[i]}")
+        if not (np.isfinite(self.input_scale) and self.input_scale > 0):
+            raise ParameterError(f"input scale must be finite and positive, got {self.input_scale}")
 
     @property
     def n_bins(self) -> int:
@@ -254,7 +256,10 @@ def train(
     val_x: "np.ndarray | None" = None,
     val_y: "np.ndarray | None" = None,
 ) -> TrainResult:
-    """Mini-batch Adam training on (scaled flux, label PDF) pairs."""
+    """Mini-batch Adam training on (scaled flux, label PDF) pairs.
+
+    A validation set with no rows counts as none.
+    """
     train_x = np.asarray(train_x, dtype=np.float64)
     train_y = np.asarray(train_y, dtype=np.float64)
     if train_x.ndim != 2 or train_x.shape != train_y.shape:
@@ -262,6 +267,7 @@ def train(
     if train_x.shape[0] == 0:
         raise ParameterError("training set is empty")
     n = train_x.shape[0]
+    has_val = val_x is not None and len(val_x) > 0
     params = model.parameters()
     adam = AdamState.for_model(model)
     shuffle_gen = RngHandle(cfg.seed, stream=1).generator()
@@ -280,7 +286,7 @@ def train(
             adam.update(params, _backprop(model, out, pre, post, yb), cfg)
             epoch_loss += batch_loss * len(idx)
         history.append(epoch_loss / n)
-        if val_x is not None and (epoch % cfg.val_every == 0 or epoch == cfg.epochs - 1):
+        if has_val and (epoch % cfg.val_every == 0 or epoch == cfg.epochs - 1):
             val_out, _, _ = _forward_batch(model, np.asarray(val_x, dtype=np.float64))
             val_history.append((epoch, loss_mse(val_out, np.asarray(val_y, dtype=np.float64))))
     return TrainResult(model=model, train_loss=history, val_loss=val_history)

@@ -28,9 +28,16 @@ HOSTILE_MODEL_DIMS = (
     pytest.param([64, 16, 32], id="out-unlike-in"),
 )
 
+BAD_INPUT_SCALES = (
+    pytest.param(float("nan"), id="nan"),
+    pytest.param(float("inf"), id="inf"),
+    pytest.param(0.0, id="zero"),
+    pytest.param(-1.0, id="negative"),
+)
 
-def write_model_file(path, dims, max_params=4096):
-    """A model file declaring dims, with linear layers and a valid CRC.
+
+def write_model_file(path, dims, max_params=4096, input_scale=1.0):
+    """A model file declaring dims and input_scale, with linear layers and a valid CRC.
 
     Every parameter is 1, so the network output has mass; the file holds
     one per declared parameter, up to max_params.
@@ -39,7 +46,7 @@ def write_model_file(path, dims, max_params=4096):
     buf = bytearray(MODEL_MAGIC)
     buf += struct.pack(f"<I{len(dims)}I", len(dims), *dims)
     buf += bytes(len(dims) - 1)
-    buf += struct.pack("<d", 1.0)
+    buf += struct.pack("<d", input_scale)
     buf += np.ones(min(declared, max_params), dtype="<f8").tobytes()
     buf += struct.pack("<I", zlib.crc32(bytes(buf)))
     path.write_bytes(bytes(buf))

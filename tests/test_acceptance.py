@@ -5,7 +5,6 @@ or in captured output); a failure shows up as an ordinary pytest failure.
 The desk-scale dataset and model come from session fixtures in conftest.
 """
 
-import time
 import warnings
 
 import numpy as np
@@ -26,6 +25,7 @@ from splsim import (
     simulate_arrivals,
     simulate_registrations,
 )
+from splsim.bench import run_benchmark
 from splsim.fast_sim import SceneSpec, estimate_depth
 from splsim.oracle import cull_dead_time, registration_counts
 from splsim.pdf_net import backward, build_model, forward, loss_mse
@@ -206,27 +206,13 @@ class TestAcceptance:
         )
 
     def test_7_speedup(self, trained_model, default_sys, desk_grid):
-        from dataclasses import replace
-
         env = EnvParams(4.0, 20.0, 5.0)  # high flux, outside training range
-        reps = 5
-        medians = {}
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            for n_cycles in (100, 1000, 10_000):
-                sys_n = replace(default_sys, n_cycles=n_cycles)
-                for engine in ("oracle", "fast"):
-                    samples = []
-                    for rep in range(reps + 1):  # first rep is warm-up
-                        rng = RngHandle(250, rep).child(n_cycles)
-                        t0 = time.perf_counter()
-                        if engine == "oracle":
-                            simulate_registrations(sys_n, env, desk_grid, rng)
-                        else:
-                            fast_simulate(sys_n, env, trained_model, desk_grid, rng)
-                        if rep:
-                            samples.append(time.perf_counter() - t0)
-                    medians[engine, n_cycles] = float(np.median(samples))
+            rows = run_benchmark(
+                default_sys, env, [100, 1000, 10_000], 5, trained_model, desk_grid, RngHandle(250)
+            )
+        medians = {(row.engine, row.n_cycles): row.seconds for row in rows}
         speedup = medians["oracle", 10_000] / medians["fast", 10_000]
         oracle_growth = medians["oracle", 10_000] / medians["oracle", 100]
         fast_growth = medians["fast", 10_000] / medians["fast", 100]
@@ -263,7 +249,7 @@ class TestAcceptance:
             root = tmp_path / rep
             root.mkdir()
             assert main([
-                "gen-dataset", "--n", "3", "--dataset-bins", "64",
+                "gen-dataset", "--n", "3", "--bins", "64",
                 "--realizations", "2", "--n-cycles", "100", "--seed", "9",
                 "--out", str(root / "d.splds"),
             ]) == 0

@@ -1,13 +1,42 @@
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from splsim import load_model, read_dataset
 from splsim.arrival import read_times_binary, read_times_csv
-from splsim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, main
+from splsim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, build_parser, main
 from splsim.config import load_config, merge_settings
 from splsim.core import ParameterError
 
-from conftest import HOSTILE_MODEL_DIMS, write_model_file
+from conftest import BAD_INPUT_SCALES, HOSTILE_MODEL_DIMS, write_model_file
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# Flags a subcommand does not read, so its parser refuses them.
+REMOVED_FLAGS = (
+    ("gen-dataset", ("--tau", "4")),
+    ("gen-dataset", ("--s-level", "2")),
+    ("gen-dataset", ("--b-level", "1")),
+    ("gen-dataset", ("--dataset-bins", "64")),
+    ("gen-dataset", ("--full-scale",)),
+    ("train", ("--bins", "64")),
+    ("train", ("--t-r", "10")),
+    ("train", ("--t-d", "8")),
+    ("train", ("--sigma-t", "0.1")),
+    ("train", ("--tau", "4")),
+    ("train", ("--s-level", "2")),
+    ("train", ("--b-level", "1")),
+    ("train", ("--n-cycles", "100")),
+    ("train", ("--full-scale",)),
+    ("estimate-count", ("--out", "x.csv")),
+    ("benchmark", ("--bins", "64")),
+    ("benchmark", ("--n-cycles", "100")),
+    ("depth-demo", ("--tau", "4")),
+    ("depth-demo", ("--s-level", "2")),
+    ("depth-demo", ("--bins", "64")),
+)
 
 
 def run(*argv):
@@ -97,6 +126,41 @@ class TestExitCodes:
         assert code == EXIT_VALIDATION
         assert "sigma_t" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scale", BAD_INPUT_SCALES[:3])
+    def test_bad_model_input_scale_is_runtime_error(self, tmp_path, scale):
+        bad = tmp_path / "scaled.splae"
+        write_model_file(bad, [16, 8, 16], input_scale=scale)
+        code = run("simulate", "--engine", "fast", "--model", bad, "--out", tmp_path / "o")
+        assert code == EXIT_RUNTIME
+
+    @pytest.mark.parametrize("command", ["simulate", "estimate-count", "plot-data"])
+    def test_bins_unlike_model_is_validation_error(self, tiny_setup, tmp_path, command):
+        extra = {
+            "simulate": ("--engine", "fast", "--out", tmp_path / "o"),
+            "estimate-count": (),
+            "plot-data": ("--kind", "pdf-compare", "--realizations", 2, "--out", tmp_path / "p.csv"),
+        }[command]
+        code = run(command, "--model", tiny_setup["model_path"], "--bins", 32, "--n-cycles", 50, *extra)
+        assert code == EXIT_VALIDATION
+
+    @pytest.mark.parametrize(
+        "command, flag", REMOVED_FLAGS, ids=[f"{command} {flag[0]}" for command, flag in REMOVED_FLAGS]
+    )
+    def test_removed_flag_is_usage_error(self, tiny_setup, tmp_path, command, flag):
+        model = tiny_setup["model_path"]
+        valid = {
+            "gen-dataset": ("--n", 2, "--realizations", 1, "--n-cycles", 50, "--out", tmp_path / "d.splds"),
+            "train": ("--dataset", tiny_setup["dataset_path"], "--epochs", 1, "--out", tmp_path / "m.splae"),
+            "estimate-count": ("--model", model, "--n-cycles", 50),
+            "benchmark": ("--model", model, "--cycles", 10, "--reps", 3, "--out", tmp_path / "b.csv"),
+            "depth-demo": (
+                "--model", model, "--width", 1, "--height", 1, "--n-cycles", 50, "--out", tmp_path / "demo",
+            ),
+        }[command]
+        with pytest.raises(SystemExit) as info:
+            run(command, *valid, *flag)
+        assert info.value.code == EXIT_USAGE
+
     def test_bad_cycles_list(self, tiny_setup, tmp_path):
         code = run(
             "benchmark", "--model", tiny_setup["model_path"],
@@ -109,7 +173,7 @@ class TestGenAndTrain:
     def test_gen_dataset_roundtrip(self, tmp_path, capsys):
         out = tmp_path / "small.splds"
         code = run(
-            "gen-dataset", "--n", 4, "--dataset-bins", 64, "--realizations", 2,
+            "gen-dataset", "--n", 4, "--bins", 64, "--realizations", 2,
             "--n-cycles", 100, "--seed", 5, "--out", out,
         )
         assert code == EXIT_OK
@@ -124,8 +188,18 @@ class TestGenAndTrain:
         common = ("gen-dataset", "--config", config, "--n", 3, "--realizations", 2, "--n-cycles", 100)
         assert run(*common, "--out", tmp_path / "config.splds") == EXIT_OK
         assert read_dataset(tmp_path / "config.splds").grid.n_bins == 64
-        assert run(*common, "--dataset-bins", 32, "--out", tmp_path / "flag.splds") == EXIT_OK
+        assert run(*common, "--bins", 32, "--out", tmp_path / "flag.splds") == EXIT_OK
         assert read_dataset(tmp_path / "flag.splds").grid.n_bins == 32
+
+    def test_train_without_held_out_split(self, tmp_path, capsys):
+        data = tmp_path / "all-train.splds"
+        gen = ("gen-dataset", "--n", 3, "--bins", 64, "--realizations", 2, "--n-cycles", 100)
+        assert run(*gen, "--seed", 0, "--out", data) == EXIT_OK
+        assert read_dataset(data).arrays("test")[0].shape[0] == 0
+        code = run("train", "--dataset", data, "--epochs", 2, "--batch-size", 2, "--out", tmp_path / "m.splae")
+        assert code == EXIT_OK
+        printed = capsys.readouterr().out
+        assert "no held-out split" in printed and "nan" not in printed
 
     def test_train_writes_model(self, tiny_setup, tmp_path, capsys):
         out = tmp_path / "model.splae"
@@ -227,6 +301,15 @@ class TestBenchmarkAndPlots:
         assert lines[0] == "engine,n_cycles,median_pixel_seconds,mean_registered_photons"
         assert len(lines) == 5  # 2 cycle counts x 2 engines
 
+    def test_benchmark_ignores_config_n_cycles(self, tiny_setup, tmp_path):
+        config = tmp_path / "c.txt"
+        config.write_text("n_cycles=0\n")
+        code = run(
+            "benchmark", "--config", config, "--model", tiny_setup["model_path"],
+            "--cycles", 10, "--reps", 3, "--out", tmp_path / "b.csv",
+        )
+        assert code == EXIT_OK
+
     def test_plot_count_hist(self, tmp_path):
         out = tmp_path / "hist.csv"
         code = run(
@@ -271,3 +354,14 @@ class TestDepthDemo:
         assert true_depth.shape == (2, 3)
         printed = capsys.readouterr().out
         assert "oracle:" in printed and "fast:" in printed
+
+
+class TestReadme:
+    def test_cli_commands_parse(self):
+        text = README.read_text()
+        block = text[text.index("## CLI"):text.index("## Layout")]
+        commands = [line for line in block.splitlines() if line.startswith("splsim ")]
+        assert len(commands) >= 10
+        parser = build_parser()
+        for line in commands:
+            parser.parse_args(shlex.split(line, comments=True)[1:])

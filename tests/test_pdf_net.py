@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from splsim.pdf_net import (
     standard_layer_dims,
 )
 
-from conftest import HOSTILE_MODEL_DIMS, write_model_file
+from conftest import BAD_INPUT_SCALES, HOSTILE_MODEL_DIMS, write_model_file
 
 TOY_DIMS = [16, 8, 16]
 
@@ -218,6 +219,20 @@ class TestTraining:
         with pytest.raises(ParameterError):
             train(model, np.ones((4, 16)), np.ones((4, 8)), TrainConfig(epochs=1))
 
+    def test_empty_val_set_is_no_val_set(self):
+        gen = RngHandle(98).generator()
+        xs = gen.random((8, 16))
+        ys = gen.random((8, 16))
+        empty = np.empty((0, 16))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = train(
+                toy_model(seed=1), xs, ys, TrainConfig(batch_size=4, epochs=2, seed=0),
+                val_x=empty, val_y=empty,
+            )
+        assert result.val_loss == []
+        assert len(result.train_loss) == 2
+
 
 class TestPredictPdf:
     def test_output_is_valid_pdf(self, trained_model, desk_grid, default_sys):
@@ -294,6 +309,15 @@ class TestModelIO:
         path.write_bytes(path.read_bytes() + b"\x00" * 8)
         with pytest.raises(FormatError):
             load_model(path)
+
+    @pytest.mark.parametrize("scale", BAD_INPUT_SCALES)
+    def test_bad_input_scale(self, tmp_path, scale):
+        path = tmp_path / "scaled.splae"
+        write_model_file(path, TOY_DIMS, input_scale=scale)
+        with pytest.raises(FormatError, match="input scale"):
+            load_model(path)
+        with pytest.raises(ParameterError):
+            build_model(16, input_scale=scale, layer_dims=TOY_DIMS)
 
     @pytest.mark.parametrize("dims", HOSTILE_MODEL_DIMS)
     def test_hostile_layer_widths(self, tmp_path, dims):
