@@ -53,12 +53,20 @@ def summarise(runs: "list[dict]") -> dict:
     }
 
 
+def pair_count(text: str) -> int:
+    """--pairs: at least two, because the summary takes quartiles over the pairs."""
+    pairs = int(text)
+    if pairs < 2:
+        raise argparse.ArgumentTypeError(f"need at least 2 pairs for quartiles, got {pairs}")
+    return pairs
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--before", type=Path, required=True, help="checkout of the parent commit")
     parser.add_argument("--after", type=Path, required=True, help="checkout of the change")
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--pairs", type=pair_count, default=10)
     parser.add_argument("--seed", type=int, default=101)
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--out", type=Path, required=True)

@@ -23,7 +23,6 @@ from .core import (
     TimeGrid,
     arrival_pdf,
     build_flux,
-    sbr,
 )
 from .count_model import CountEstimate, energy_loss_fn, estimate_count, expected_loss, sample_count
 from .dataset import Dataset, EnvRanges, generate_dataset, read_dataset, write_dataset
@@ -88,7 +87,6 @@ __all__ = [
     "sample_count",
     "sample_poisson_count",
     "save_model",
-    "sbr",
     "simulate_arrivals",
     "simulate_image",
     "simulate_registrations",

@@ -4,8 +4,9 @@ Counts follow Poisson(N * Q) and timestamps are drawn from the arrival PDF
 on the discretized grid: by inverse transform sampling for small counts
 and by multinomial bin counts for large ones (`CdfInverter.sample`). The
 conventional simulator draws its arrivals through the same `draw_arrivals`
-step. All randomness flows through seedable, stream-addressable handles so
-any simulation is exactly reproducible.
+step. A simulator takes a stream address (`RngHandle`) and builds its
+generator once; a draw takes that `numpy.random.Generator`. So a seed and
+a stream fix every simulation exactly.
 """
 
 from __future__ import annotations
@@ -54,12 +55,6 @@ class RngHandle:
         return RngHandle(self.seed, mixed)
 
 
-def as_generator(rng: "RngHandle | np.random.Generator") -> np.random.Generator:
-    if isinstance(rng, RngHandle):
-        return rng.generator()
-    return rng
-
-
 @dataclass(frozen=True)
 class TimestampBatch:
     """Relative photon timestamps in [0, t_r), held in a read-only copy of the input."""
@@ -76,13 +71,13 @@ class TimestampBatch:
         return self.times.size
 
 
-def sample_poisson_count(mean: float, rng: "RngHandle | np.random.Generator") -> int:
+def sample_poisson_count(mean: float, gen: np.random.Generator) -> int:
     """Draw a Poisson count with the given mean (the total energy N*Q)."""
     if mean < 0:
         raise ParameterError(f"Poisson mean must be non-negative, got {mean}")
     if mean == 0:
         return 0
-    return int(as_generator(rng).poisson(mean))
+    return int(gen.poisson(mean))
 
 
 def sample_bin_counts(n: int, bin_mass: np.ndarray, grid: TimeGrid, gen: np.random.Generator) -> np.ndarray:
@@ -154,7 +149,7 @@ def simulate_arrivals(
     sys: SystemParams,
     env: EnvParams,
     grid: TimeGrid,
-    rng: "RngHandle | np.random.Generator",
+    rng: RngHandle,
 ) -> TimestampBatch:
     """Simulate one acquisition of photon arrivals over N cycles.
 
@@ -164,7 +159,7 @@ def simulate_arrivals(
     if env.energy == 0:
         return TimestampBatch(np.empty(0))
     inverter = CdfInverter(arrival_pdf(build_flux(sys, env, grid)))
-    return TimestampBatch(draw_arrivals(inverter, sys.n_cycles * env.energy, as_generator(rng)))
+    return TimestampBatch(draw_arrivals(inverter, sys.n_cycles * env.energy, rng.generator()))
 
 
 def write_times_csv(batch: TimestampBatch, path: "str | Path") -> None:

@@ -38,6 +38,7 @@ from .oracle import empirical_pdf, simulate_registrations
 from .pdf_net import (
     AEModel,
     TrainConfig,
+    TrainingDivergedError,
     build_model,
     load_model,
     predict_pdf,
@@ -138,6 +139,9 @@ def cmd_train(args) -> int:
 def cmd_simulate(args) -> int:
     s = _settings(args)
     out = _require_out(args)
+    unread = [SETTINGS[key].flag for key in ("tau", "s_level", "b_level") if getattr(args, key) is not None]
+    if args.scene is not None and unread:
+        raise ParameterError(f"{' '.join(unread)}: not read with --scene, which sets each pixel's environment")
     out.mkdir(parents=True, exist_ok=True)
     sys_p = _sys_params(s)
     rng = RngHandle(s["seed"])
@@ -217,6 +221,8 @@ def cmd_plot_data(args) -> int:
     out = _require_out(args)
     sys_p = _sys_params(s)
     if args.kind == "count-hist":
+        if args.model is not None:
+            raise ParameterError("--model is read only by --kind pdf-compare")
         bench_mod.write_count_hist_csv(
             sys_p, _env_params(s), _grid(args, s), args.realizations, RngHandle(s["seed"]), out
         )
@@ -334,7 +340,7 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         print(f"splsim: invalid parameters: {exc}", file=_sys.stderr)
         return EXIT_VALIDATION
-    except (DegenerateDistributionError, NoPhotonError, FormatError, OSError) as exc:
+    except (DegenerateDistributionError, NoPhotonError, FormatError, TrainingDivergedError, OSError) as exc:
         print(f"splsim: {exc}", file=_sys.stderr)
         return EXIT_RUNTIME
 

@@ -86,13 +86,6 @@ class EnvParams:
         return self.s_level + self.b_level
 
 
-def sbr(env: EnvParams) -> float:
-    """Signal-to-background ratio S/B; returns math.inf when B = 0."""
-    if env.b_level == 0:
-        return math.inf
-    return env.s_level / env.b_level
-
-
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid of n_bins bins over one repetition period [0, t_r)."""
@@ -147,8 +140,8 @@ class DiscretizedFunction:
     def integral(self) -> float:
         return float(self.values.sum() * self.grid.bin_width)
 
-    def is_pdf(self, tol: float = PDF_TOL) -> bool:
-        return abs(self.integral() - 1.0) <= tol
+    def is_pdf(self) -> bool:
+        return abs(self.integral() - 1.0) <= PDF_TOL
 
 
 def gaussian_pulse(t: np.ndarray, tau: float, sigma_t: float) -> np.ndarray:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrival import RngHandle, as_generator
 from .core import (
     DiscretizedFunction,
     EnvParams,
@@ -108,13 +107,8 @@ def estimate_count(
     return CountEstimate(mean_r=float(mean_r[0]), std_r=float(std_r[0]), e_loss=float(e_loss[0]))
 
 
-def sample_count(est: CountEstimate, rng: "RngHandle | np.random.Generator") -> int:
+def sample_count(mean_r: float, std_r: float, gen: np.random.Generator) -> int:
     """Draw an integer registration count: Gaussian, rounded, clamped at 0."""
-    return draw_count(est.mean_r, est.std_r, as_generator(rng))
-
-
-def draw_count(mean_r: float, std_r: float, gen: np.random.Generator) -> int:
-    """sample_count from bare moments; the image engine draws with this per pixel."""
     if std_r == 0:
         return max(0, round(mean_r))
     return max(0, round(float(gen.normal(mean_r, std_r))))

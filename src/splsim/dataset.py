@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arrival import RngHandle, as_generator
+from .arrival import RngHandle
 from .core import (
     DegenerateDistributionError,
     EnvParams,
@@ -62,9 +62,8 @@ class EnvRanges:
         )
 
 
-def sample_env(rng: "RngHandle | np.random.Generator", ranges: EnvRanges = EnvRanges()) -> EnvParams:
+def sample_env(gen: np.random.Generator, ranges: EnvRanges = EnvRanges()) -> EnvParams:
     """Draw independent uniform (S, B, tau) from the configured ranges."""
-    gen = as_generator(rng)
     s = gen.uniform(*ranges.s_range)
     b = gen.uniform(*ranges.b_range)
     tau = gen.uniform(*ranges.tau_range)
@@ -75,8 +74,8 @@ def make_pair(
     sys: SystemParams,
     env: EnvParams,
     grid: TimeGrid,
-    n_realizations: int = 20,
-    rng: "RngHandle" = RngHandle(0),
+    n_realizations: int,
+    rng: RngHandle,
 ) -> "tuple[np.ndarray, np.ndarray]":
     """One (scaled flux vector, empirical registration PDF) training pair."""
     flux = build_flux(sys, env, grid)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arrival import RngHandle, TimestampBatch, as_generator, sample_bin_counts
+from .arrival import RngHandle, TimestampBatch, sample_bin_counts
 from .core import (
     EnvParams,
     FormatError,
@@ -29,14 +29,14 @@ from .core import (
     build_flux,
     flux_rows,
 )
-from .count_model import count_moments, draw_count, estimate_count, sample_count
+from .count_model import count_moments, estimate_count, sample_count
 from .dataset import EnvRanges
 from .oracle import simulate_registrations
 from .pdf_net import AEModel, predict_pdf, predict_pdf_rows
 
-# The engine calls the row forms. build_flux, predict_pdf, estimate_count and
-# sample_count are imported all the same: perfbench/tracing.py wraps the fast
-# engine's layers under this module's names.
+# The engine calls the row forms. build_flux, predict_pdf and estimate_count
+# are imported all the same: perfbench/tracing.py wraps the fast engine's
+# layers under this module's names.
 
 ENGINES = ("oracle", "fast")
 
@@ -55,7 +55,7 @@ def _simulate_block(
     tau: np.ndarray,
     s_level: np.ndarray,
     b_level: np.ndarray,
-    rngs: "list[RngHandle | np.random.Generator]",
+    rngs: "list[RngHandle]",
     n_rows: int,
 ) -> "list[TimestampBatch]":
     """The learned simulator for a block of pixels, pixel i drawing from rngs[i].
@@ -82,8 +82,8 @@ def _simulate_block(
     mean_r, std_r, _ = count_moments(sys, energy[active], flux, f_r, grid)
     bin_mass = f_r / f_r.sum(axis=1, keepdims=True)
     for i, mean, std, mass in zip(active.tolist(), mean_r.tolist(), std_r.tolist(), bin_mass):
-        gen = as_generator(rngs[i])
-        times = sample_bin_counts(draw_count(mean, std, gen), mass, grid, gen)
+        gen = rngs[i].generator()
+        times = sample_bin_counts(sample_count(mean, std, gen), mass, grid, gen)
         batches[i] = TimestampBatch(times)
     return batches
 
@@ -110,7 +110,7 @@ def fast_simulate(
     env: EnvParams,
     model: AEModel,
     grid: TimeGrid,
-    rng: "RngHandle | np.random.Generator",
+    rng: RngHandle,
 ) -> TimestampBatch:
     """One acquisition from the learned simulator: a block of one pixel.
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrival import CdfInverter, RngHandle, TimestampBatch, as_generator, draw_arrivals
+from .arrival import CdfInverter, RngHandle, TimestampBatch, draw_arrivals
 from .core import (
     DegenerateDistributionError,
     DiscretizedFunction,
@@ -100,10 +100,10 @@ def simulate_registrations(
     sys: SystemParams,
     env: EnvParams,
     grid: TimeGrid,
-    rng: "RngHandle | np.random.Generator",
+    rng: RngHandle,
 ) -> RegistrationResult:
     """Run the conventional simulator for one acquisition of N cycles."""
-    rel_reg, m_a = next(_acquisitions(sys, env, grid, [as_generator(rng)]))
+    rel_reg, m_a = next(_acquisitions(sys, env, grid, [rng.generator()]))
     return RegistrationResult(TimestampBatch(rel_reg), m_a)
 
 

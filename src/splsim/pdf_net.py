@@ -10,6 +10,7 @@ gradients are fully inspectable.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -36,19 +37,19 @@ ACT_LINEAR = 0
 ACT_LEAKY_RELU = 1
 
 
-def standard_layer_dims(n_bins: int, bottleneck: int = BOTTLENECK) -> "list[int]":
-    """Widths halving from n_bins down to the bottleneck, then doubling back."""
-    if n_bins < bottleneck:
-        raise ParameterError(f"need at least {bottleneck} bins, got {n_bins}")
+def standard_layer_dims(n_bins: int) -> "list[int]":
+    """Widths halving from n_bins down to the BOTTLENECK, then doubling back."""
+    if n_bins < BOTTLENECK:
+        raise ParameterError(f"need at least {BOTTLENECK} bins, got {n_bins}")
     down = [n_bins]
-    while down[-1] > bottleneck:
+    while down[-1] > BOTTLENECK:
         if down[-1] % 2:
             raise ParameterError(
-                f"bin count {n_bins} does not halve cleanly to the {bottleneck}-wide bottleneck"
+                f"bin count {n_bins} does not halve cleanly to the {BOTTLENECK}-wide bottleneck"
             )
         down.append(down[-1] // 2)
-    if down[-1] != bottleneck:
-        raise ParameterError(f"bin count {n_bins} does not reach the {bottleneck}-wide bottleneck")
+    if down[-1] != BOTTLENECK:
+        raise ParameterError(f"bin count {n_bins} does not reach the {BOTTLENECK}-wide bottleneck")
     return down + down[-2::-1]
 
 
@@ -204,6 +205,8 @@ class TrainConfig:
             raise ParameterError("batch size must be >= 1")
         if self.epochs < 1:
             raise ParameterError("epoch count must be >= 1")
+        if not 0 <= self.learning_rate < math.inf:
+            raise ParameterError(f"learning rate must be non-negative and finite, got {self.learning_rate}")
 
 
 @dataclass

@@ -52,6 +52,16 @@ def write_model_file(path, dims, max_params=4096, input_scale=1.0):
     path.write_bytes(bytes(buf))
 
 
+def header_bit_flips(raw: bytes, n_header: int):
+    """Every copy of raw with one bit of its first n_header bytes flipped and the trailing CRC32 recomputed."""
+    for offset in range(n_header):
+        for bit in range(8):
+            flipped = bytearray(raw)
+            flipped[offset] ^= 1 << bit
+            flipped[-4:] = struct.pack("<I", zlib.crc32(bytes(flipped[:-4])))
+            yield bytes(flipped)
+
+
 @pytest.fixture(scope="session")
 def default_sys():
     return SystemParams()

@@ -56,11 +56,11 @@ class TestRngHandle:
 class TestPoissonCount:
     def test_zero_mean(self):
         for i in range(20):
-            assert sample_poisson_count(0.0, RngHandle(1, i)) == 0
+            assert sample_poisson_count(0.0, RngHandle(1, i).generator()) == 0
 
     def test_negative_mean(self):
         with pytest.raises(ParameterError):
-            sample_poisson_count(-1.0, RngHandle(0))
+            sample_poisson_count(-1.0, RngHandle(0).generator())
 
     def test_large_mean_statistics(self):
         gen = RngHandle(11).generator()

@@ -161,6 +161,39 @@ class TestExitCodes:
             run(command, *valid, *flag)
         assert info.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize("flag", ["--tau", "--s-level", "--b-level"])
+    def test_env_flag_with_scene_is_validation_error(self, tmp_path, capsys, flag):
+        from splsim import ramp_scene, write_scene
+
+        scene_path = tmp_path / "scene.txt"
+        write_scene(ramp_scene(2, 1), scene_path)
+        code = run(
+            "simulate", "--engine", "oracle", "--scene", scene_path, flag, 3,
+            "--bins", 64, "--n-cycles", 50, "--out", tmp_path / "o",
+        )
+        assert code == EXIT_VALIDATION
+        assert flag in capsys.readouterr().err
+
+    def test_model_with_count_hist_is_validation_error(self, tmp_path, capsys):
+        code = run(
+            "plot-data", "--kind", "count-hist", "--model", tmp_path / "missing.splae",
+            "--realizations", 2, "--n-cycles", 50, "--bins", 32, "--out", tmp_path / "c.csv",
+        )
+        assert code == EXIT_VALIDATION
+        assert "--model" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "lr, expected",
+        [("nan", EXIT_VALIDATION), ("-1", EXIT_VALIDATION), ("1e300", EXIT_RUNTIME)],
+        ids=["nan", "negative", "diverges"],
+    )
+    def test_bad_learning_rate(self, tiny_setup, tmp_path, lr, expected):
+        code = run(
+            "train", "--dataset", tiny_setup["dataset_path"], "--epochs", 2, "--batch-size", 8,
+            "--lr", lr, "--out", tmp_path / "m.splae",
+        )
+        assert code == expected
+
     def test_bad_cycles_list(self, tiny_setup, tmp_path):
         code = run(
             "benchmark", "--model", tiny_setup["model_path"],

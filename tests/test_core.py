@@ -13,7 +13,6 @@ from splsim import (
     TimeGrid,
     arrival_pdf,
     build_flux,
-    sbr,
 )
 from splsim.core import gaussian_pulse
 
@@ -65,11 +64,6 @@ class TestParams:
             EnvParams(tau=-1.0, s_level=1.0, b_level=1.0)
         with pytest.raises(ParameterError):
             EnvParams(tau=4.0, s_level=-0.1, b_level=1.0)
-
-    def test_sbr(self):
-        assert sbr(EnvParams(4.0, 3.0, 1.0)) == 3.0
-        assert sbr(EnvParams(4.0, 0.0, 2.0)) == 0.0
-        assert sbr(EnvParams(4.0, 1.0, 0.0)) == math.inf
 
 
 class TestGrid:

@@ -18,7 +18,7 @@ from splsim import (
     sample_count,
 )
 from splsim.core import flux_rows
-from splsim.count_model import CountEstimate, count_moments, energy_loss_rows
+from splsim.count_model import count_moments, energy_loss_rows
 from splsim.oracle import registration_counts
 
 
@@ -174,20 +174,17 @@ class TestEstimateCount:
 
 class TestSampleCount:
     def test_degenerate_std(self):
-        est = CountEstimate(mean_r=412.4, std_r=0.0, e_loss=1.0)
-        assert all(sample_count(est, RngHandle(0, i)) == 412 for i in range(10))
+        assert all(sample_count(412.4, 0.0, RngHandle(0, i).generator()) == 412 for i in range(10))
 
     def test_gaussian_statistics(self):
-        est = CountEstimate(mean_r=500.0, std_r=11.18, e_loss=1.0)
         gen = RngHandle(80).generator()
-        draws = np.array([sample_count(est, gen) for _ in range(100_000)])
+        draws = np.array([sample_count(500.0, 11.18, gen) for _ in range(100_000)])
         assert draws.mean() == pytest.approx(500.0, abs=0.15)
         assert 11.0 <= draws.std() <= 11.4
 
     def test_clamped_non_negative(self):
-        est = CountEstimate(mean_r=0.2, std_r=0.4, e_loss=0.0)
         gen = RngHandle(81).generator()
-        draws = [sample_count(est, gen) for _ in range(5000)]
+        draws = [sample_count(0.2, 0.4, gen) for _ in range(5000)]
         assert min(draws) >= 0
 
 

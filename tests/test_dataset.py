@@ -24,7 +24,7 @@ from splsim.dataset import (
     split_tag,
 )
 
-from conftest import DESK_BINS, DESK_PAIRS, DESK_REALIZATIONS, DESK_SEED
+from conftest import DESK_BINS, DESK_PAIRS, DESK_REALIZATIONS, DESK_SEED, header_bit_flips
 
 
 class TestEnvSampling:
@@ -213,6 +213,17 @@ class TestDatasetIO:
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError):
             read_dataset(path)
+
+    def test_every_header_bit_flip_loads_or_is_format_error(self, tiny_setup, tmp_path):
+        path = tmp_path / "flipped.splds"
+        flips = list(header_bit_flips(tiny_setup["dataset_path"].read_bytes(), _REF_START))
+        assert len(flips) == 816
+        for raw in flips:
+            path.write_bytes(raw)
+            try:
+                read_dataset(path)
+            except FormatError:
+                pass
 
     def test_truncation_detected(self, tiny_setup, tmp_path):
         path = tmp_path / "trunc.splds"

@@ -36,7 +36,8 @@ def reference_fast_image(scene, sys_p, grid, model, rng):
             continue
         gen = rng.child(idx).generator()
         f_r = predict_pdf(model, build_flux(sys_p, env, grid))
-        count = sample_count(estimate_count(sys_p, env, f_r), gen)
+        est = estimate_count(sys_p, env, f_r)
+        count = sample_count(est.mean_r, est.std_r, gen)
         out.append(sample_bin_counts(count, f_r.values / f_r.values.sum(), grid, gen))
     return out
 

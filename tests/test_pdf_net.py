@@ -29,7 +29,7 @@ from splsim.pdf_net import (
     standard_layer_dims,
 )
 
-from conftest import BAD_INPUT_SCALES, HOSTILE_MODEL_DIMS, write_model_file
+from conftest import BAD_INPUT_SCALES, HOSTILE_MODEL_DIMS, header_bit_flips, write_model_file
 
 TOY_DIMS = [16, 8, 16]
 
@@ -214,6 +214,11 @@ class TestTraining:
         epochs = [e for e, _ in result.val_loss]
         assert epochs == [0, 5, 9]
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -1.0], ids=["nan", "inf", "negative"])
+    def test_bad_learning_rate_rejected(self, lr):
+        with pytest.raises(ParameterError, match="learning rate"):
+            TrainConfig(learning_rate=lr)
+
     def test_shape_mismatch_rejected(self):
         model = toy_model()
         with pytest.raises(ParameterError):
@@ -318,6 +323,19 @@ class TestModelIO:
             load_model(path)
         with pytest.raises(ParameterError):
             build_model(16, input_scale=scale, layer_dims=TOY_DIMS)
+
+    def test_every_header_bit_flip_loads_or_is_format_error(self, tmp_path):
+        # A 64-bin header: magic 6, width count 4, five widths 20, four activations 4, scale 8.
+        path = tmp_path / "m.splae"
+        save_model(build_model(64, input_scale=10.0 / 64, seed=3), path)
+        flips = list(header_bit_flips(path.read_bytes(), 42))
+        assert len(flips) == 336
+        for raw in flips:
+            path.write_bytes(raw)
+            try:
+                load_model(path)
+            except FormatError:
+                pass
 
     @pytest.mark.parametrize("dims", HOSTILE_MODEL_DIMS)
     def test_hostile_layer_widths(self, tmp_path, dims):
