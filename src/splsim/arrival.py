@@ -7,6 +7,10 @@ conventional simulator draws its arrivals through the same `draw_arrivals`
 step. A simulator takes a stream address (`RngHandle`) and builds its
 generator once; a draw takes that `numpy.random.Generator`. So a seed and
 a stream fix every simulation exactly.
+
+`RngHandle.generator` defines a stream. `RngHandle.child_generators` keys
+many child streams at once, bit-identical to `child(i).generator()`, and
+`place_in_bins` places the bin-count draws of many rows in one pass.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -30,6 +35,94 @@ from .core import (
 
 _MIX = 0x9E3779B97F4A7C15  # 64-bit golden-ratio multiplier for stream derivation
 _MASK63 = (1 << 63) - 1
+
+# numpy's SeedSequence hash over a pool of four uint32 words, and PCG64's
+# seeding step, as numpy defines them (bit_generator.pyx, pcg64.h).
+_MASK32 = (1 << 32) - 1
+_MASK128 = (1 << 128) - 1
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_word(word, hash_const: int, mult: int):
+    """SeedSequence's hash of one uint32 word (an int or a uint32 array); returns it and the next constant."""
+    next_const = hash_const * mult & _MASK32
+    word = (word ^ hash_const) * next_const & _MASK32
+    return word ^ (word >> 16), next_const
+
+
+def _mix_words(x, y):
+    """SeedSequence's mix of two uint32 words, each an int or a uint32 array."""
+    r = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+    return r ^ (r >> 16)
+
+
+def _mix_in(pool: list, word, hash_const: int) -> "tuple[list, int]":
+    """Mix one entropy word into every pool word, as SeedSequence does past the pool's first fill."""
+    mixed = []
+    for dst in pool:
+        hashed, hash_const = _hash_word(word, hash_const, _MULT_A)
+        mixed.append(_mix_words(dst, hashed))
+    return mixed, hash_const
+
+
+def _pcg64_seeds(seed: int, spawn_ids: np.ndarray) -> np.ndarray:
+    """The four uint64 words SeedSequence(seed, spawn_key=(id,)) hands PCG64, for each id (n x 4).
+
+    The seed's run entropy, padded to the pool size, is mixed into the pool
+    once, in Python integers; then each id's spawn words (one below 2**32,
+    two from it) are mixed in, in one uint32 pass over all ids.
+    """
+    entropy = []
+    while True:
+        entropy.append(seed & _MASK32)
+        seed >>= 32
+        if not seed:
+            break
+    entropy += [0] * (_POOL_SIZE - len(entropy))
+    hash_const = _INIT_A
+    pool = []
+    for word in entropy[:_POOL_SIZE]:
+        hashed, hash_const = _hash_word(word, hash_const, _MULT_A)
+        pool.append(hashed)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                hashed, hash_const = _hash_word(pool[src], hash_const, _MULT_A)
+                pool[dst] = _mix_words(pool[dst], hashed)
+    for word in entropy[_POOL_SIZE:]:
+        pool, hash_const = _mix_in(pool, word, hash_const)
+    low = (spawn_ids & _MASK32).astype(np.uint32)
+    high = (spawn_ids >> 32).astype(np.uint32)
+    pool, hash_const = _mix_in(pool, low, hash_const)
+    with_high, _ = _mix_in(pool, high, hash_const)
+    pool = [np.where(high != 0, a, b) for a, b in zip(with_high, pool)]
+    state = np.empty((spawn_ids.size, 2 * _POOL_SIZE), dtype=np.uint32)
+    hash_const = _INIT_B
+    for i in range(2 * _POOL_SIZE):
+        state[:, i], hash_const = _hash_word(pool[i % _POOL_SIZE], hash_const, _MULT_B)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _child_stream(stream: int, index):
+    """The stream id of child `index`: an int, or a uint64 array of them."""
+    return (((stream + 1) * _MIX & _MASK63) + index) & _MASK63
+
+
+def _rekeyed(bit_gen: np.random.PCG64, seeds: np.ndarray) -> "Iterator[np.random.Generator]":
+    """One generator over bit_gen, set to PCG64's seeding from each row of seeds in turn."""
+    gen = np.random.Generator(bit_gen)
+    for seed_hi, seed_lo, inc_hi, inc_lo in seeds.tolist():
+        # PCG64 seeding: state = ((inc + seed) * multiplier + inc) mod 2**128.
+        inc = (inc_hi << 65 | inc_lo << 1 | 1) & _MASK128
+        state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULT + inc) & _MASK128
+        bit_gen.state = {
+            "bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0,
+        }
+        yield gen
 
 
 @dataclass(frozen=True)
@@ -51,8 +144,20 @@ class RngHandle:
         """Derive an independent sub-stream, e.g. one per pixel or realization."""
         if index < 0:
             raise ParameterError("stream index must be non-negative")
-        mixed = ((self.stream + 1) * _MIX + index) & _MASK63
-        return RngHandle(self.seed, mixed)
+        return RngHandle(self.seed, _child_stream(self.stream, index))
+
+    def child_generators(self, indices) -> "Iterator[np.random.Generator]":
+        """For each index i, a generator that draws exactly what child(i).generator() draws.
+
+        All the children are keyed here, in one vectorized pass. The
+        generator yielded is one object, re-keyed for each index, so finish
+        drawing from it before advancing.
+        """
+        indices = np.asarray(indices, dtype=np.int64)
+        if (indices < 0).any():
+            raise ParameterError("stream index must be non-negative")
+        ids = _child_stream(self.stream, indices.astype(np.uint64))
+        return _rekeyed(np.random.PCG64(), _pcg64_seeds(self.seed, ids))
 
 
 @dataclass(frozen=True)
@@ -89,8 +194,20 @@ def sample_bin_counts(n: int, bin_mass: np.ndarray, grid: TimeGrid, gen: np.rand
     information.
     """
     bins = gen.multinomial(n, bin_mass)
-    t = np.repeat(grid.edges()[:-1], bins)
-    t += gen.random(n) * grid.bin_width
+    return place_in_bins(bins, gen.random(n), grid)
+
+
+def place_in_bins(bins: np.ndarray, u: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """sample_bin_counts's placement for one row of bin counts or for P rows (P x K) at once.
+
+    u holds one uniform per timestamp, the rows' draws concatenated. Each
+    timestamp lies at its bin's start plus u times the bin width, clamped
+    below t_r; the result is the rows' timestamps concatenated, row i
+    bit-identical to placing row i alone.
+    """
+    starts = np.broadcast_to(grid.edges()[:-1], bins.shape)
+    t = np.repeat(starts.ravel(), bins.ravel())
+    t += u * grid.bin_width
     return np.minimum(t, np.nextafter(grid.t_r, 0.0), out=t)
 
 
@@ -167,9 +284,24 @@ def write_times_csv(batch: TimestampBatch, path: "str | Path") -> None:
     np.savetxt(path, batch.times, fmt="%.17g")
 
 
-def read_times_csv(path: "str | Path") -> TimestampBatch:
-    times = np.loadtxt(path, dtype=np.float64, ndmin=1)
+def _checked_times(times: np.ndarray, path: "str | Path") -> TimestampBatch:
+    """Reject negative and non-finite timestamps read from a file.
+
+    The files store no period, so a timestamp at or beyond t_r cannot be
+    detected here.
+    """
+    if not (np.isfinite(times).all() and (times >= 0).all()):
+        raise FormatError(f"{path}: timestamps must be finite and non-negative")
     return TimestampBatch(times)
+
+
+def read_times_csv(path: "str | Path") -> TimestampBatch:
+    """Read write_times_csv's format; see _checked_times for the values it rejects."""
+    try:
+        times = np.loadtxt(path, dtype=np.float64, ndmin=1)
+    except ValueError as exc:
+        raise FormatError(f"{path}: malformed timestamp file") from exc
+    return _checked_times(times, path)
 
 
 _BIN_HEADER = struct.Struct("<Q")
@@ -183,6 +315,7 @@ def write_times_binary(batch: TimestampBatch, path: "str | Path") -> None:
 
 
 def read_times_binary(path: "str | Path") -> TimestampBatch:
+    """Read write_times_binary's format; see _checked_times for the values it rejects."""
     raw = Path(path).read_bytes()
     if len(raw) < _BIN_HEADER.size:
         raise FormatError(f"{path}: truncated timestamp file")
@@ -190,4 +323,4 @@ def read_times_binary(path: "str | Path") -> TimestampBatch:
     body = raw[_BIN_HEADER.size:]
     if len(body) != 8 * count:
         raise FormatError(f"{path}: expected {count} timestamps, found {len(body) // 8}")
-    return TimestampBatch(np.frombuffer(body, dtype="<f8"))
+    return _checked_times(np.frombuffer(body, dtype="<f8"), path)

@@ -4,9 +4,10 @@ The fast path predicts the registration PDF with the autoencoder, draws a
 registration count from the Gaussian count model, and draws that many
 timestamps by bin counts: multinomial counts over the PDF's bins, then
 uniform placement within each bin. Images run in blocks of pixels, so
-flux, network and count model cost one pass per block; per pixel what
-remains is the random stream and O(m) sampling, independent of the
-number of laser cycles.
+flux, network, count model and photon placement cost one pass per block,
+and every pixel's random stream is keyed in one pass per image. Per pixel
+what remains is the count, multinomial and uniform draws from its own
+stream, O(m) and independent of the number of laser cycles.
 """
 
 from __future__ import annotations
@@ -15,10 +16,11 @@ import time
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
-from .arrival import RngHandle, TimestampBatch, sample_bin_counts
+from .arrival import RngHandle, TimestampBatch, place_in_bins
 from .core import (
     EnvParams,
     FormatError,
@@ -55,15 +57,17 @@ def _simulate_block(
     tau: np.ndarray,
     s_level: np.ndarray,
     b_level: np.ndarray,
-    rngs: "list[RngHandle]",
+    streams: "Iterable[np.random.Generator]",
     n_rows: int,
 ) -> "list[TimestampBatch]":
-    """The learned simulator for a block of pixels, pixel i drawing from rngs[i].
+    """The learned simulator for a block of pixels; the j-th pixel with energy draws from the j-th of streams.
 
     Flux, network and count model run once over the block's rows. Each
-    pixel draws its count and then its timestamps by bin counts from its
-    own stream, as a lone pixel does. Zero-energy pixels register nothing
-    and draw nothing.
+    pixel draws its count, its bin counts and its uniforms from its own
+    generator, in that order, as a lone pixel does (see sample_bin_counts),
+    and the block's timestamps are then placed in one pass. Zero-energy
+    pixels register nothing, draw nothing and take no generator, so a
+    block takes from streams exactly one generator per pixel with energy.
 
     The network pass always has ``n_rows`` rows, pixel i in row i: BLAS
     picks its kernel, and so its rounding, by matrix shape, and a fixed
@@ -81,10 +85,17 @@ def _simulate_block(
     f_r = predict_pdf_rows(model, padded, grid.bin_width)[active]
     mean_r, std_r, _ = count_moments(sys, energy[active], flux, f_r, grid)
     bin_mass = f_r / f_r.sum(axis=1, keepdims=True)
-    for i, mean, std, mass in zip(active.tolist(), mean_r.tolist(), std_r.tolist(), bin_mass):
-        gen = rngs[i].generator()
-        times = sample_bin_counts(sample_count(mean, std, gen), mass, grid, gen)
-        batches[i] = TimestampBatch(times)
+    bins = np.empty(bin_mass.shape, dtype=np.int64)
+    counts, uniforms = [], []
+    # streams comes last, so zip stops without taking a generator beyond the block.
+    for row, (mean, std, mass, gen) in enumerate(zip(mean_r.tolist(), std_r.tolist(), bin_mass, streams)):
+        n = sample_count(mean, std, gen)
+        bins[row] = gen.multinomial(n, mass)
+        uniforms.append(gen.random(n))
+        counts.append(n)
+    times = place_in_bins(bins, np.concatenate(uniforms), grid)
+    for i, pixel_times in zip(active.tolist(), np.split(times, np.cumsum(counts)[:-1])):
+        batches[i] = TimestampBatch(pixel_times)
     return batches
 
 
@@ -119,7 +130,7 @@ def fast_simulate(
     """
     _check_ranges(env.tau, env.s_level, env.b_level)
     tau, s_level, b_level = (np.array([v]) for v in (env.tau, env.s_level, env.b_level))
-    return _simulate_block(sys, grid, model, tau, s_level, b_level, [rng], n_rows=1)[0]
+    return _simulate_block(sys, grid, model, tau, s_level, b_level, [rng.generator()], n_rows=1)[0]
 
 
 def estimate_depth(batch: TimestampBatch) -> float:
@@ -183,7 +194,10 @@ def write_scene(scene: SceneSpec, path: "str | Path") -> None:
 
 
 def read_scene(path: "str | Path") -> SceneSpec:
-    tokens = Path(path).read_text().split()
+    try:
+        tokens = Path(path).read_bytes().decode("utf-8").split()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: scene file is not UTF-8 text") from exc
     if len(tokens) < 4:
         raise FormatError(f"{path}: missing scene header")
     try:
@@ -232,7 +246,8 @@ def simulate_image(
     """Simulate every pixel independently and estimate the depth map.
 
     Each pixel gets its own random stream keyed by (seed, pixel index), so
-    the result does not depend on traversal order. The fast engine runs
+    the result does not depend on traversal order. The fast engine keys
+    every pixel's stream at once (RngHandle.child_generators) and runs
     blocks of BLOCK_PIXELS pixels, and each of its pixels' timestamps come
     grouped by bin, so their order carries no information; the oracle
     runs pixel by pixel.
@@ -255,11 +270,11 @@ def simulate_image(
         s_level = (scene.reflectivity * scene.pulse_energy).ravel()
         b_level = np.full(n_px, scene.b_level)
         out_of_range = _check_ranges(tau, s_level, b_level)
+        streams = rng.child_generators(np.flatnonzero(s_level + b_level > 0))
         for start in range(0, n_px, BLOCK_PIXELS):
             block = slice(start, min(start + BLOCK_PIXELS, n_px))
             batches += _simulate_block(
-                sys, grid, model, tau[block], s_level[block], b_level[block],
-                [rng.child(idx) for idx in range(block.start, block.stop)], n_rows=BLOCK_PIXELS,
+                sys, grid, model, tau[block], s_level[block], b_level[block], streams, n_rows=BLOCK_PIXELS,
             )
     engine_seconds = time.perf_counter() - start_total
     depth = np.full(n_px, np.nan)

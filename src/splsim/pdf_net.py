@@ -276,22 +276,25 @@ def train(
     shuffle_gen = RngHandle(cfg.seed, stream=1).generator()
     history: "list[float]" = []
     val_history: "list[tuple[int, float]]" = []
-    for epoch in range(cfg.epochs):
-        order = shuffle_gen.permutation(n)
-        epoch_loss = 0.0
-        for bi, start in enumerate(range(0, n, cfg.batch_size)):
-            idx = order[start : start + cfg.batch_size]
-            xb, yb = train_x[idx], train_y[idx]
-            out, pre, post = _forward_batch(model, xb)
-            batch_loss = loss_mse(out, yb)
-            if not np.isfinite(batch_loss):
-                raise TrainingDivergedError(epoch, bi)
-            adam.update(params, _backprop(model, out, pre, post, yb), cfg)
-            epoch_loss += batch_loss * len(idx)
-        history.append(epoch_loss / n)
-        if has_val and (epoch % cfg.val_every == 0 or epoch == cfg.epochs - 1):
-            val_out, _, _ = _forward_batch(model, np.asarray(val_x, dtype=np.float64))
-            val_history.append((epoch, loss_mse(val_out, np.asarray(val_y, dtype=np.float64))))
+    # A diverging run overflows in the arithmetic before its loss turns
+    # non-finite; the loss check reports it, once, as TrainingDivergedError.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            order = shuffle_gen.permutation(n)
+            epoch_loss = 0.0
+            for bi, start in enumerate(range(0, n, cfg.batch_size)):
+                idx = order[start : start + cfg.batch_size]
+                xb, yb = train_x[idx], train_y[idx]
+                out, pre, post = _forward_batch(model, xb)
+                batch_loss = loss_mse(out, yb)
+                if not np.isfinite(batch_loss):
+                    raise TrainingDivergedError(epoch, bi)
+                adam.update(params, _backprop(model, out, pre, post, yb), cfg)
+                epoch_loss += batch_loss * len(idx)
+            history.append(epoch_loss / n)
+            if has_val and (epoch % cfg.val_every == 0 or epoch == cfg.epochs - 1):
+                val_out, _, _ = _forward_batch(model, np.asarray(val_x, dtype=np.float64))
+                val_history.append((epoch, loss_mse(val_out, np.asarray(val_y, dtype=np.float64))))
     return TrainResult(model=model, train_loss=history, val_loss=val_history)
 
 

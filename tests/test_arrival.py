@@ -22,12 +22,18 @@ from splsim import (
 )
 from splsim.arrival import (
     CdfInverter,
+    place_in_bins,
     read_times_binary,
     read_times_csv,
     sample_bin_counts,
     write_times_binary,
     write_times_csv,
 )
+
+
+# Child ids are ((stream + 1) * 0x9E3779B97F4A7C15 + index) mod 2**63, so for this
+# stream they are index + 1: below 2**32 for small indices, above it for large ones.
+ONE_WORD_STREAM = pow(0x9E3779B97F4A7C15, -1, 2**63) - 1
 
 
 class TestRngHandle:
@@ -51,6 +57,29 @@ class TestRngHandle:
     def test_negative_seed_rejected(self):
         with pytest.raises(ParameterError):
             RngHandle(-1)
+
+    @pytest.mark.parametrize("stream", [0, 5, ONE_WORD_STREAM])
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 7])
+    def test_child_generators_draw_as_child_generator(self, seed, stream):
+        base = RngHandle(seed, stream)
+        indices = [0, 1, 63, 2**32 - 3, 2**32 - 2, 2**32, 10**12]
+        if stream == ONE_WORD_STREAM:
+            # Child ids on both sides of 2**32: one spawn-key word and two.
+            ids = [base.child(i).stream for i in indices]
+            assert min(ids) < 2**32 <= max(ids)
+        mass = np.array([0.1, 0.0, 0.25, 0.65])
+        keyed = base.child_generators(indices)
+        for i in indices:
+            gen, ref = next(keyed), base.child(i).generator()
+            assert gen.bit_generator.state == ref.bit_generator.state
+            assert gen.normal(3.0, 2.0) == ref.normal(3.0, 2.0)
+            assert np.array_equal(gen.multinomial(500, mass), ref.multinomial(500, mass))
+            assert np.array_equal(gen.random(7), ref.random(7))
+        assert next(keyed, None) is None
+
+    def test_child_generators_reject_negative_index(self):
+        with pytest.raises(ParameterError):
+            RngHandle(7).child_generators([0, -1])
 
 
 class TestPoissonCount:
@@ -155,6 +184,15 @@ class TestInverseTransform:
         for bad in (-0.1, 1.0, np.nan):
             with pytest.raises(ParameterError):
                 inv.invert(np.array([0.5, bad]))
+
+    def test_row_placement_matches_each_row_alone(self):
+        grid = TimeGrid(16, 10.0)
+        gen = RngHandle(23).generator()
+        bins = np.stack([gen.multinomial(n, np.full(16, 1 / 16)) for n in (40, 0, 75)])
+        u = gen.random(bins.sum())
+        rows = np.split(u, np.cumsum(bins.sum(axis=1))[:-1])
+        alone = np.concatenate([place_in_bins(b, r, grid) for b, r in zip(bins, rows)])
+        assert np.array_equal(place_in_bins(bins, u, grid), alone)
 
     def test_sample_paths_share_distribution(self):
         # Per-draw and bulk sampling must agree distributionally.
@@ -278,6 +316,36 @@ class TestBatchIO:
         write_times_binary(batch, path)
         back = read_times_binary(path)
         assert np.array_equal(back.times, batch.times)
+
+    @pytest.mark.parametrize(
+        "text", ["1.5\n-0.25\n", "nan\n", "2.0\ninf\n", "1.0\nabc\n", "\xb3\n"],
+        ids=["negative", "nan", "inf", "not-a-number", "not-utf8"],
+    )
+    def test_csv_bad_values_rejected(self, tmp_path, text):
+        path = tmp_path / "times.csv"
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(FormatError):
+            read_times_csv(path)
+
+    def test_binary_bit_flips_load_or_raise_format_error(self, tmp_path):
+        # Every single-bit flip of a 3-timestamp file; several make a
+        # negative or non-finite timestamp, which must not load.
+        path = tmp_path / "times.bin"
+        write_times_binary(TimestampBatch([0.5, 2.25, 9.75]), path)
+        raw = path.read_bytes()
+        rejected = 0
+        for bit in range(8 * len(raw)):
+            flipped = bytearray(raw)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            path.write_bytes(bytes(flipped))
+            try:
+                batch = read_times_binary(path)
+            except FormatError:
+                rejected += 1
+            else:
+                assert batch.count == 3
+                assert np.isfinite(batch.times).all() and (batch.times >= 0).all()
+        assert rejected > 64  # every flip of the count header, at least
 
     def test_binary_truncated(self, tmp_path):
         batch = self._batch()

@@ -121,6 +121,13 @@ class TestExitCodes:
         code = run("simulate", "--engine", "oracle", "--scene", bad, "--out", tmp_path / "o")
         assert code == EXIT_RUNTIME
 
+    def test_non_utf8_scene_is_runtime_error(self, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xb3 1 0.5 1.0\n4 1\n")
+        code = run("simulate", "--engine", "oracle", "--scene", bad, "--bins", 64, "--n-cycles", 50,
+                   "--out", tmp_path / "o")
+        assert code == EXIT_RUNTIME
+
     def test_non_finite_parameter_is_validation_error(self, tmp_path, capsys):
         code = run("simulate", "--engine", "oracle", "--sigma-t", "nan", "--out", tmp_path / "o")
         assert code == EXIT_VALIDATION

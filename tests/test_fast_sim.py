@@ -162,6 +162,25 @@ class TestSceneSpec:
         with pytest.raises(FormatError):
             read_scene(path)
 
+    def test_scene_file_not_utf8(self, tmp_path):
+        path = tmp_path / "scene.txt"
+        path.write_bytes(b"\xb3 1 0.5 1.0\n4 1\n")
+        with pytest.raises(FormatError):
+            read_scene(path)
+
+    def test_scene_file_bit_flips_load_or_raise_format_error(self, tmp_path):
+        path = tmp_path / "scene.txt"
+        write_scene(ramp_scene(2, 1), path)
+        raw = path.read_bytes()
+        for bit in range(8 * len(raw)):
+            flipped = bytearray(raw)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            path.write_bytes(bytes(flipped))
+            try:
+                read_scene(path)
+            except FormatError:
+                pass
+
     def test_scene_file_negative_size(self, tmp_path):
         path = tmp_path / "scene.txt"
         path.write_text("-2 -2 0.5 1.0\n" + " ".join(["1"] * 8) + "\n")
@@ -277,13 +296,16 @@ class TestSimulateImage:
         s_level = np.array([1.0, 2.0, 0.0, 0.5, 3.0])
         b_level = np.array([1.0, 0.5, 0.0, 1.5, 0.2])
         rngs = [RngHandle(16, i) for i in range(tau.size)]
-        block = _simulate_block(default_sys, desk_grid, trained_model, tau, s_level, b_level, rngs, BLOCK_PIXELS)
+        block = _simulate_block(
+            default_sys, desk_grid, trained_model, tau, s_level, b_level,
+            (rngs[i].generator() for i in np.flatnonzero(s_level + b_level)), BLOCK_PIXELS,
+        )
         assert block[2].count == 0
         for i, batch in enumerate(block):
             dark = np.arange(tau.size) != i
             alone = _simulate_block(
                 default_sys, desk_grid, trained_model, tau,
-                np.where(dark, 0.0, s_level), np.where(dark, 0.0, b_level), rngs, BLOCK_PIXELS,
+                np.where(dark, 0.0, s_level), np.where(dark, 0.0, b_level), [rngs[i].generator()], BLOCK_PIXELS,
             )
             assert sum(b.count for b in alone) == batch.count
             assert np.array_equal(batch.times, alone[i].times)

@@ -198,6 +198,15 @@ class TestTraining:
             train(model, xs, ys, TrainConfig(batch_size=4, epochs=2, seed=0))
         assert info.value.epoch == 0
 
+    def test_divergence_reported_without_numpy_warnings(self):
+        model = toy_model(seed=1)
+        gen = RngHandle(99).generator()
+        xs, ys = gen.random((8, 16)), gen.random((8, 16))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDivergedError):
+                train(model, xs, ys, TrainConfig(batch_size=4, epochs=20, learning_rate=1e300, seed=0))
+
     def test_val_loss_recorded(self):
         model = toy_model(seed=1)
         gen = RngHandle(97).generator()
