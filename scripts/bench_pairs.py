@@ -2,36 +2,45 @@
 
 Runs ``perfbench/run.py`` (tracing off) in two checkouts, pair by pair,
 swapping which side goes first on every other pair, and writes each
-side's median and quartiles of every end-to-end metric, the pair wins on
-``items_per_s``, and the environment both sides reported (core count,
-numpy, BLAS, commit).
+side's median and quartiles of every end-to-end metric and of each run's
+minor page faults, the pair wins on ``items_per_s``, and the environment
+both sides reported (core count, numpy, BLAS, commit).
 
     python3 scripts/bench_pairs.py --before ../parent --after . --workload image_fast \\
         --pairs 10 --seed 101 --seconds 30 --out BENCH_batched_image.json
 
 Pair i uses seed ``--seed + i`` on both sides. Each checkout should be a
-git clone, so that its commit is recorded.
+git clone, so that its commit is recorded. A run's minor faults are the
+``RUSAGE_CHILDREN`` ``ru_minflt`` difference around it: the benchmark
+process and the interpreters it starts to time imports.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import resource
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 
+def _child_minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark process; returns its environment line and its result line."""
+    """One benchmark process; returns its environment line, its result line and its minor faults."""
+    faults = _child_minor_faults()
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=True,
     )
+    faults = _child_minor_faults() - faults
     lines = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("{")]
-    return {"env": lines[0]["env"], "result": lines[-1]}
+    return {"env": lines[0]["env"], "result": lines[-1], "minor_faults": faults}
 
 
 def quartiles(values: "list[float]") -> dict:
@@ -50,6 +59,7 @@ def summarise(runs: "list[dict]") -> dict:
             name: dict(unit=spec["unit"], **quartiles([r["result"]["metrics"][name]["value"] for r in runs]))
             for name, spec in metrics.items()
         },
+        "minor_faults": quartiles([r["minor_faults"] for r in runs]),
     }
 
 

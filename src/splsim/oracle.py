@@ -10,6 +10,7 @@ slow path that the learned simulator replaces.
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -48,21 +49,23 @@ def cull_dead_time(abs_times: np.ndarray, t_d: float) -> np.ndarray:
     """Sequentially cull ascending absolute arrival times with dead time t_d.
 
     Register a photon at time a iff a >= last_registration + t_d; skipped
-    photons do not extend the blanking window.
+    photons do not extend the blanking window. abs_times must be 1-D.
     """
     if t_d < 0:
         raise ParameterError(f"dead time must be non-negative, got {t_d}")
     abs_times = np.asarray(abs_times, dtype=np.float64)
+    if abs_times.ndim != 1:
+        raise ParameterError(f"arrival times must be 1-D, got shape {abs_times.shape}")
     if t_d == 0 or abs_times.size == 0:
         return abs_times.copy()
-    registered = []
+    registered = array("d")
     append = registered.append
     last = -math.inf
-    for a in abs_times.tolist():
+    for a in memoryview(np.ascontiguousarray(abs_times)):
         if a - last >= t_d:
             append(a)
             last = a
-    return np.asarray(registered, dtype=np.float64)
+    return np.frombuffer(registered, dtype=np.float64)
 
 
 def _acquisitions(
@@ -84,9 +87,12 @@ def _acquisitions(
     total_energy = sys.n_cycles * env.energy
     for gen in gens:
         rel = draw_arrivals(inverter, total_energy, gen)
-        cycles = gen.integers(0, sys.n_cycles, size=rel.size)
-        registered = cull_dead_time(np.sort(rel + cycles * sys.t_r), sys.t_d)
-        yield np.mod(registered, sys.t_r), rel.size
+        # cycles * t_r + rel is rel + cycles * t_r bit for bit, built in one owned buffer.
+        abs_times = gen.integers(0, sys.n_cycles, size=rel.size) * sys.t_r
+        abs_times += rel
+        abs_times.sort()
+        registered = cull_dead_time(abs_times, sys.t_d)
+        yield np.mod(registered, sys.t_r, out=registered), rel.size
 
 
 def _streams(rng: RngHandle, n_realizations: int) -> "Iterator[np.random.Generator]":

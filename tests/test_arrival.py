@@ -347,6 +347,26 @@ class TestBatchIO:
                 assert np.isfinite(batch.times).all() and (batch.times >= 0).all()
         assert rejected > 64  # every flip of the count header, at least
 
+    def test_csv_bit_flips_load_or_raise_format_error(self, tmp_path):
+        # Every single-bit flip of a 3-timestamp file: a flip may give
+        # another number, a sign, a non-number or a byte that is not UTF-8.
+        path = tmp_path / "times.csv"
+        write_times_csv(TimestampBatch([0.5, 2.25, 9.75]), path)
+        raw = path.read_bytes()
+        rejected = 0
+        for bit in range(8 * len(raw)):
+            flipped = bytearray(raw)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            path.write_bytes(bytes(flipped))
+            try:
+                batch = read_times_csv(path)
+            except FormatError:
+                rejected += 1
+            else:
+                assert batch.count == 3
+                assert np.isfinite(batch.times).all() and (batch.times >= 0).all()
+        assert rejected >= len(raw)  # every top-bit flip, which is not UTF-8
+
     def test_binary_truncated(self, tmp_path):
         batch = self._batch()
         path = tmp_path / "times.bin"

@@ -1,16 +1,25 @@
 import importlib.util
+import json
+import resource
+import subprocess
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
 
 
-@pytest.mark.parametrize("pairs", ["1", "0", "-3"])
-def test_fewer_than_two_pairs_is_usage_error(tmp_path, monkeypatch, capsys, pairs):
+def load_bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
     bench_pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_pairs)
+    return bench_pairs
+
+
+@pytest.mark.parametrize("pairs", ["1", "0", "-3"])
+def test_fewer_than_two_pairs_is_usage_error(tmp_path, monkeypatch, capsys, pairs):
+    bench_pairs = load_bench_pairs()
 
     def no_run(*args):
         raise AssertionError("a benchmark run started")
@@ -22,3 +31,40 @@ def test_fewer_than_two_pairs_is_usage_error(tmp_path, monkeypatch, capsys, pair
     assert info.value.code == 2
     assert "at least 2 pairs" in capsys.readouterr().err
     assert not (tmp_path / "b.json").exists()
+
+
+def test_minor_faults_recorded_per_run(tmp_path, monkeypatch):
+    # The stand-in benchmark run k adds 1000 + k faults to the children's
+    # count, so each side's runs must read back exactly those differences.
+    bench_pairs = load_bench_pairs()
+    calls = []
+    children_faults = [0]
+
+    def fake_getrusage(who):
+        assert who == resource.RUSAGE_CHILDREN
+        return SimpleNamespace(ru_minflt=children_faults[0])
+
+    def fake_benchmark(cmd, cwd, **kwargs):
+        calls.append((Path(cwd).name, cmd[cmd.index("--seed") + 1]))
+        children_faults[0] += 1000 + len(calls)
+        rate = 10.0 if Path(cwd).name == "before" else 12.0
+        lines = [
+            {"env": {k: k for k in ("nproc", "cpus_usable", "python", "numpy", "blas", "blas_threads",
+                                    "commit")}},
+            {"attempted": 3, "failed": 0, "metrics": {"items_per_s": {"unit": "1/s", "value": rate}}},
+        ]
+        return subprocess.CompletedProcess(cmd, 0, stdout="noise\n" + "\n".join(map(json.dumps, lines)))
+
+    monkeypatch.setattr(bench_pairs.resource, "getrusage", fake_getrusage)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_benchmark)
+    out = tmp_path / "b.json"
+    assert bench_pairs.main(["--before", str(tmp_path / "before"), "--after", str(tmp_path / "after"),
+                             "--workload", "image_oracle", "--pairs", "3", "--seed", "40",
+                             "--seconds", "1", "--out", str(out)]) == 0
+    assert calls == [("before", "40"), ("after", "40"), ("after", "41"), ("before", "41"),
+                     ("before", "42"), ("after", "42")]
+    record = json.loads(out.read_text())
+    assert record["items_per_s_wins_after"] == 3
+    assert record["before"]["minor_faults"] == {"q1": 1002.5, "median": 1004, "q3": 1004.5,
+                                                "runs": [1001, 1004, 1005]}
+    assert record["after"]["minor_faults"]["runs"] == [1002, 1003, 1006]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,6 +44,50 @@ class TestCull:
         with pytest.raises(ParameterError):
             cull_dead_time(np.array([1.0]), -0.5)
 
+    @pytest.mark.parametrize("times", [np.array([[1.0, 2.0], [3.0, 4.0]]), np.array(1.0)], ids=["2-d", "0-d"])
+    def test_not_one_dimensional_rejected(self, times):
+        with pytest.raises(ParameterError, match="1-D"):
+            cull_dead_time(times, 0.5)
+
+    @pytest.mark.parametrize(
+        "times, t_d, kept",
+        [([2.9, 3.01], 0.11, [2.9]), ([0.32, 0.88], 0.56, [0.32, 0.88])],
+        ids=["difference-below", "threshold-above"],
+    )
+    def test_difference_form_not_threshold_form(self, times, t_d, kept):
+        # In floating point, a - last >= t_d and a >= last + t_d disagree on
+        # these pairs; the cull is defined by the difference form.
+        last, a = times
+        assert (a - last >= t_d) != (a >= last + t_d)
+        assert_same_bits(cull_dead_time(np.array(times), t_d), np.array(kept))
+
+    def test_strided_view_and_list_match_reference(self):
+        times = np.cumsum(np.random.default_rng(3).exponential(1.0, 400))
+        for view in (times[::2], times[1::3]):
+            assert not view.flags.c_contiguous
+            assert_same_bits(cull_dead_time(view, 1.5), reference_cull(view, 1.5))
+        as_list = times.tolist()
+        assert_same_bits(cull_dead_time(as_list, 1.5), reference_cull(as_list, 1.5))
+
+
+def reference_cull(abs_times, t_d):
+    """The cull as a loop over a Python list of floats: the reference for bit-identity."""
+    abs_times = np.asarray(abs_times, dtype=np.float64)
+    if t_d == 0 or abs_times.size == 0:
+        return abs_times.copy()
+    registered = []
+    last = -math.inf
+    for a in abs_times.tolist():
+        if a - last >= t_d:
+            registered.append(a)
+            last = a
+    return np.asarray(registered, dtype=np.float64)
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
 
 def dropped_after(times, kept):
     """Each arrival missing from kept, with the registration before it (None if none).
@@ -70,6 +116,11 @@ CULL_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, data
 
 
 class TestCullProperties:
+    @CULL_SETTINGS
+    @given(times=sorted_arrivals, t_d=dead_times)
+    def test_matches_list_loop_bit_for_bit(self, times, t_d):
+        assert_same_bits(cull_dead_time(times, t_d), reference_cull(times, t_d))
+
     @CULL_SETTINGS
     @given(times=sorted_arrivals, t_d=dead_times)
     def test_output_is_in_order_subsequence(self, times, t_d):
