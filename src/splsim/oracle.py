@@ -5,6 +5,12 @@ and scanned photon by photon: a photon is registered iff it comes at least
 one dead time after the previous registration (nonparalyzable detector,
 dead time carries across cycle boundaries). This sequential scan is the
 slow path that the learned simulator replaces.
+
+The scan streams the arrivals through a memoryview into an array("d"), and
+each acquisition builds, sorts and folds its absolute times in one owned
+array. A list of the ~27k Python floats of an N = 10^4 pixel had CPython
+free and re-map their arenas for every pixel: ~74k minor page faults per
+384-pixel image pass, against ~3k now (2-core x86-64, Python 3.11, glibc).
 """
 
 from __future__ import annotations
