@@ -3,11 +3,17 @@
 Runs ``perfbench/run.py`` (tracing off) in two checkouts, pair by pair,
 swapping which side goes first on every other pair, and writes each
 side's median and quartiles of every end-to-end metric and of each run's
-minor page faults, the pair wins on ``items_per_s``, and the environment
-both sides reported (core count, numpy, BLAS, commit).
+minor page faults, the environment both sides reported (core count,
+numpy, BLAS, commit), and ``claim_check``: whether the after side's gain
+on ``items_per_s`` may be claimed.
 
     python3 scripts/bench_pairs.py --before ../parent --after . --workload image_fast \\
         --pairs 10 --seed 101 --seconds 30 --out BENCH_batched_image.json
+
+A gain may be claimed only when the after side wins at least nine tenths
+of the pairs (ties count for neither side), its median beats the before
+side's by more than the before side's q3 - q1, and no larger share of its
+operations failed.
 
 Pair i uses seed ``--seed + i`` on both sides. Each checkout should be a
 git clone, so that its commit is recorded. A run's minor faults are the
@@ -19,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import resource
 import statistics
 import subprocess
@@ -63,6 +70,25 @@ def summarise(runs: "list[dict]") -> dict:
     }
 
 
+def claim_check(before: dict, after: dict) -> dict:
+    """The claim verdict on items_per_s from two summarise() records of the same pairs."""
+    b, a = before["metrics"]["items_per_s"], after["metrics"]["items_per_s"]
+    wins = sum(x > y for x, y in zip(a["runs"], b["runs"]))
+    wins_needed = math.ceil(9 * len(b["runs"]) / 10)
+    median_gain = a["median"] - b["median"]
+    before_spread = b["q3"] - b["q1"]
+    no_more_failures = after["failed"] * before["attempted"] <= before["failed"] * after["attempted"]
+    return {
+        "metric": "items_per_s",
+        "wins": wins,
+        "wins_needed": wins_needed,
+        "median_gain": median_gain,
+        "before_spread": before_spread,
+        "failed": {side: f"{s['failed']}/{s['attempted']}" for side, s in (("before", before), ("after", after))},
+        "met": wins >= wins_needed and median_gain > before_spread and no_more_failures,
+    }
+
+
 def pair_count(text: str) -> int:
     """--pairs: at least two, because the summary takes quartiles over the pairs."""
     pairs = int(text)
@@ -92,21 +118,23 @@ def main(argv=None) -> int:
         print(f"pair {i}: first {order[0]}, items_per_s before {rates['before']:.1f} after {rates['after']:.1f}",
               file=sys.stderr)
 
-    wins = sum(
-        a["result"]["metrics"]["items_per_s"]["value"] > b["result"]["metrics"]["items_per_s"]["value"]
-        for a, b in zip(runs["after"], runs["before"])
-    )
+    before, after = summarise(runs["before"]), summarise(runs["after"])
     record = {
         "workload": args.workload,
         "command": f"perfbench/run.py --workload {args.workload} --seed <{args.seed}+pair> "
                    f"--seconds {args.seconds:g} --trace 0",
         "pairs": args.pairs,
         "order": "before first on even pairs, after first on odd pairs",
-        "items_per_s_wins_after": wins,
-        "before": summarise(runs["before"]),
-        "after": summarise(runs["after"]),
+        "before": before,
+        "after": after,
+        "claim_check": claim_check(before, after),
     }
     args.out.write_text(json.dumps(record, indent=2) + "\n")
+    check = record["claim_check"]
+    print(f"items_per_s claim {'met' if check['met'] else 'not met'}: {check['wins']}/{args.pairs} wins "
+          f"(need {check['wins_needed']}), median gain {check['median_gain']:.3g} vs before q3-q1 "
+          f"{check['before_spread']:.3g}, failed {check['failed']['before']} -> {check['failed']['after']}",
+          file=sys.stderr)
     return 0
 
 

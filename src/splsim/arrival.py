@@ -31,6 +31,8 @@ from .core import (
     TimeGrid,
     arrival_pdf,
     build_flux,
+    frozen_copy,
+    require_count,
 )
 
 _MIX = 0x9E3779B97F4A7C15  # 64-bit golden-ratio multiplier for stream derivation
@@ -133,8 +135,8 @@ class RngHandle:
     stream: int = 0
 
     def __post_init__(self):
-        if self.seed < 0 or self.stream < 0:
-            raise ParameterError("seed and stream id must be non-negative")
+        require_count("seed", self.seed, 0)
+        require_count("stream", self.stream, 0)
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
@@ -167,9 +169,7 @@ class TimestampBatch:
     times: np.ndarray
 
     def __post_init__(self):
-        times = np.array(self.times, dtype=np.float64, order="C")
-        times.flags.writeable = False
-        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "times", frozen_copy(self.times))
 
     @property
     def count(self) -> int:

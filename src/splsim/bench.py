@@ -1,19 +1,17 @@
-"""Wall-clock benchmark harness and tidy CSV emission for figures."""
+"""Wall-clock benchmark harness: median per-pixel runtime of both engines against N."""
 
 from __future__ import annotations
 
-import csv
 import statistics
 import time
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
 from .arrival import RngHandle
-from .core import DiscretizedFunction, EnvParams, ParameterError, SystemParams, TimeGrid
+from .core import EnvParams, ParameterError, SystemParams, TimeGrid
 from .fast_sim import fast_simulate
-from .oracle import registration_counts, simulate_registrations
+from .oracle import simulate_registrations
 from .pdf_net import AEModel
 
 WARMUP_REPS = 1  # excluded from the reported median
@@ -68,44 +66,3 @@ def run_benchmark(
                 )
             )
     return rows
-
-
-def write_runtime_csv(rows: "list[BenchRow]", path: "str | Path") -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["engine", "n_cycles", "median_pixel_seconds", "mean_registered_photons"])
-        for row in rows:
-            writer.writerow([row.engine, row.n_cycles, f"{row.seconds:.9f}", f"{row.photons:.3f}"])
-
-
-def write_count_hist_csv(
-    sys: SystemParams,
-    env: EnvParams,
-    grid: TimeGrid,
-    n_realizations: int,
-    rng: RngHandle,
-    path: "str | Path",
-) -> None:
-    """Per-realization arrival and registration counts for histogramming."""
-    m_a, m_r = registration_counts(sys, env, grid, n_realizations, rng)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["realization", "arrivals", "registrations"])
-        for i, (a, r) in enumerate(zip(m_a, m_r)):
-            writer.writerow([i, int(a), int(r)])
-
-
-def write_pdf_compare_csv(
-    oracle_pdf: DiscretizedFunction,
-    predicted_pdf: DiscretizedFunction,
-    path: "str | Path",
-) -> None:
-    """Bin-by-bin oracle vs predicted registration densities."""
-    if oracle_pdf.grid != predicted_pdf.grid:
-        raise ParameterError("compared PDFs must share a grid")
-    centers = oracle_pdf.grid.centers()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_center", "oracle_density", "predicted_density"])
-        for c, o, p in zip(centers, oracle_pdf.values, predicted_pdf.values):
-            writer.writerow([f"{c:.17g}", f"{o:.17g}", f"{p:.17g}"])

@@ -8,11 +8,12 @@ plot-data, depth-demo. Exit codes: 0 ok, 2 usage, 3 validation error,
 from __future__ import annotations
 
 import argparse
+import csv
 import sys as _sys
 from pathlib import Path
 
-from . import bench as bench_mod
 from .arrival import RngHandle, write_times_binary, write_times_csv
+from .bench import run_benchmark
 from .config import DEFAULTS, SETTINGS, merge_settings
 from .core import (
     DegenerateDistributionError,
@@ -27,6 +28,7 @@ from .core import (
 from .count_model import estimate_count
 from .dataset import generate_dataset, read_dataset, write_dataset
 from .fast_sim import (
+    ENGINES,
     fast_simulate,
     ramp_scene,
     read_scene,
@@ -34,7 +36,7 @@ from .fast_sim import (
     write_depth_csv,
     write_scene,
 )
-from .oracle import empirical_pdf, simulate_registrations
+from .oracle import empirical_pdf, registration_counts, simulate_registrations
 from .pdf_net import (
     AEModel,
     TrainConfig,
@@ -98,6 +100,27 @@ def _require_out(args) -> Path:
     return args.out
 
 
+def _write_table(path: Path, header: "list[str]", rows) -> None:
+    """Every CSV table the CLI writes: the csv module's defaults, so CRLF line ends."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _run_scene(scene, engines, sys_p, grid, rng, model, out: Path, runtime_name: str) -> dict:
+    """Each engine's depth map as depth_<engine>.csv, and one runtime table; returns the results by engine."""
+    results = {engine: simulate_image(scene, sys_p, grid, engine, rng, model=model) for engine in engines}
+    for engine, result in results.items():
+        write_depth_csv(result.depth_estimate, out / f"depth_{engine}.csv")
+    _write_table(
+        out / runtime_name,
+        ["engine", "total_seconds", "mean_pixel_seconds"],
+        ([e, f"{r.total_seconds:.9f}", f"{r.mean_pixel_seconds:.9f}"] for e, r in results.items()),
+    )
+    return results
+
+
 def cmd_gen_dataset(args) -> int:
     s = _settings(args, {**DEFAULTS, "n_bins": DATASET_BINS})
     out = _require_out(args)
@@ -151,11 +174,7 @@ def cmd_simulate(args) -> int:
     grid = _grid(args, s, model)
     if args.scene is not None:
         scene = read_scene(args.scene)
-        result = simulate_image(scene, sys_p, grid, args.engine, rng, model=model)
-        write_depth_csv(result.depth_estimate, out / f"depth_{args.engine}.csv")
-        with open(out / f"runtime_{args.engine}.csv", "w") as fh:
-            fh.write("engine,total_seconds,mean_pixel_seconds\n")
-            fh.write(f"{args.engine},{result.total_seconds:.9f},{result.mean_pixel_seconds:.9f}\n")
+        _run_scene(scene, [args.engine], sys_p, grid, rng, model, out, f"runtime_{args.engine}.csv")
         print(f"simulated {scene.height}x{scene.width} scene with the {args.engine} engine")
     else:
         env = _env_params(s)
@@ -202,16 +221,12 @@ def cmd_benchmark(args) -> int:
     sys_p = _sys_params({**s, "n_cycles": cycles[0]})  # --cycles sets N, not n_cycles
     model = load_model(args.model)
     grid = _grid(args, s, model)
-    rows = bench_mod.run_benchmark(
-        sys_p,
-        _env_params(s),
-        cycles,
-        args.reps,
-        model,
-        grid,
-        RngHandle(s["seed"]),
+    rows = run_benchmark(sys_p, _env_params(s), cycles, args.reps, model, grid, RngHandle(s["seed"]))
+    _write_table(
+        out,
+        ["engine", "n_cycles", "median_pixel_seconds", "mean_registered_photons"],
+        ([r.engine, r.n_cycles, f"{r.seconds:.9f}", f"{r.photons:.3f}"] for r in rows),
     )
-    bench_mod.write_runtime_csv(rows, out)
     print(f"benchmark written to {out}")
     return EXIT_OK
 
@@ -223,8 +238,12 @@ def cmd_plot_data(args) -> int:
     if args.kind == "count-hist":
         if args.model is not None:
             raise ParameterError("--model is read only by --kind pdf-compare")
-        bench_mod.write_count_hist_csv(
-            sys_p, _env_params(s), _grid(args, s), args.realizations, RngHandle(s["seed"]), out
+        m_a, m_r = registration_counts(
+            sys_p, _env_params(s), _grid(args, s), args.realizations, RngHandle(s["seed"])
+        )
+        _write_table(
+            out, ["realization", "arrivals", "registrations"],
+            zip(range(len(m_a)), m_a.tolist(), m_r.tolist()),
         )
     else:  # pdf-compare
         if not args.model:
@@ -234,7 +253,11 @@ def cmd_plot_data(args) -> int:
         env = _env_params(s)
         oracle_pdf = empirical_pdf(sys_p, env, grid, args.realizations, RngHandle(s["seed"]))
         predicted = predict_pdf(model, build_flux(sys_p, env, grid))
-        bench_mod.write_pdf_compare_csv(oracle_pdf, predicted, out)
+        _write_table(
+            out,
+            ["bin_center", "oracle_density", "predicted_density"],
+            ([f"{v:.17g}" for v in row] for row in zip(grid.centers(), oracle_pdf.values, predicted.values)),
+        )
     print(f"{args.kind} data written to {out}")
     return EXIT_OK
 
@@ -251,19 +274,9 @@ def cmd_depth_demo(args) -> int:
     )
     write_scene(scene, out / "scene.txt")
     write_depth_csv(scene.depths, out / "depth_true.csv")
-    rng = RngHandle(s["seed"])
-    with open(out / "runtime.csv", "w") as fh:
-        fh.write("engine,total_seconds,mean_pixel_seconds\n")
-        for engine in ("oracle", "fast"):
-            result = simulate_image(scene, sys_p, grid, engine, rng, model=model)
-            write_depth_csv(result.depth_estimate, out / f"depth_{engine}.csv")
-            fh.write(
-                f"{engine},{result.total_seconds:.9f},{result.mean_pixel_seconds:.9f}\n"
-            )
-            print(
-                f"{engine}: {result.total_seconds:.3f}s total, "
-                f"{result.mean_pixel_seconds * 1e3:.3f}ms per pixel"
-            )
+    results = _run_scene(scene, ENGINES, sys_p, grid, RngHandle(s["seed"]), model, out, "runtime.csv")
+    for engine, result in results.items():
+        print(f"{engine}: {result.total_seconds:.3f}s total, {result.mean_pixel_seconds * 1e3:.3f}ms per pixel")
     return EXIT_OK
 
 

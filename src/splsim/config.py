@@ -1,7 +1,8 @@
 """The settings table, key=value configuration files and CLI overrides.
 
 SETTINGS is the one list of settable values: each key with its CLI flag,
-type, default and help text. A config file may set any of these keys;
+type, default and help text. The system and grid defaults are those of
+SystemParams and TimeGrid. A config file may set any of these keys;
 lines starting with '#' and blank lines are ignored.
 """
 
@@ -10,7 +11,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import NamedTuple
 
-from .core import ParameterError
+from .core import ParameterError, SystemParams, TimeGrid
 
 
 class Setting(NamedTuple):
@@ -21,14 +22,14 @@ class Setting(NamedTuple):
 
 
 SETTINGS = {
-    "t_r": Setting("--t-r", float, 10.0, "cycle period t_r"),
-    "t_d": Setting("--t-d", float, 8.0, "detector dead time t_d"),
-    "sigma_t": Setting("--sigma-t", float, 0.1, "pulse width sigma_t"),
-    "n_cycles": Setting("--n-cycles", int, 1000, "laser cycles N per acquisition"),
+    "t_r": Setting("--t-r", float, SystemParams.t_r, "cycle period t_r"),
+    "t_d": Setting("--t-d", float, SystemParams.t_d, "detector dead time t_d"),
+    "sigma_t": Setting("--sigma-t", float, SystemParams.sigma_t, "pulse width sigma_t"),
+    "n_cycles": Setting("--n-cycles", int, SystemParams.n_cycles, "laser cycles N per acquisition"),
     "tau": Setting("--tau", float, 4.0, "pulse delay tau"),
     "s_level": Setting("--s-level", float, 1.0, "signal level S"),
     "b_level": Setting("--b-level", float, 1.0, "background level B"),
-    "n_bins": Setting("--bins", int, 1024, "time grid resolution K"),
+    "n_bins": Setting("--bins", int, TimeGrid.n_bins, "time grid resolution K"),
     "seed": Setting("--seed", int, 0, "random seed"),
 }
 

@@ -33,6 +33,19 @@ class NoPhotonError(RuntimeError):
     """An estimator was asked to run on an empty timestamp batch."""
 
 
+def require_count(name: str, value, minimum: int) -> None:
+    """Reject a count that is not a Python or numpy integer of at least minimum."""
+    if not (isinstance(value, (int, np.integer)) and value >= minimum):
+        raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def frozen_copy(values) -> np.ndarray:
+    """A read-only float64 copy: a validated value type holds one, so no caller can change it later."""
+    values = np.array(values, dtype=np.float64, order="C")
+    values.flags.writeable = False
+    return values
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Hardware constants: repetition period, dead time, pulse width, cycles.
@@ -58,8 +71,7 @@ class SystemParams:
             raise ParameterError(
                 f"sigma_t (pulse half width) must be positive and much smaller than t_r, got {self.sigma_t}"
             )
-        if not 1 <= self.n_cycles < math.inf:
-            raise ParameterError(f"n_cycles must be >= 1 and finite, got {self.n_cycles}")
+        require_count("n_cycles", self.n_cycles, 1)
 
 
 @dataclass(frozen=True)
@@ -94,8 +106,7 @@ class TimeGrid:
     t_r: float = 10.0
 
     def __post_init__(self):
-        if not 1 <= self.n_bins < math.inf:
-            raise ParameterError(f"n_bins must be >= 1 and finite, got {self.n_bins}")
+        require_count("n_bins", self.n_bins, 1)
         if not 0 < self.t_r < math.inf:
             raise ParameterError(f"t_r (grid period) must be positive and finite, got {self.t_r}")
 
@@ -125,7 +136,7 @@ class DiscretizedFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
+        values = frozen_copy(self.values)
         if values.shape != (self.grid.n_bins,):
             raise ParameterError(
                 f"expected {self.grid.n_bins} values, got shape {values.shape}"
@@ -134,7 +145,6 @@ class DiscretizedFunction:
             raise ParameterError("function values must be finite")
         if np.any(values < 0):
             raise ParameterError("function values must be non-negative")
-        values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
     def integral(self) -> float:

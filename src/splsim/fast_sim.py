@@ -28,17 +28,18 @@ from .core import (
     ParameterError,
     SystemParams,
     TimeGrid,
-    build_flux,
     flux_rows,
+    frozen_copy,
 )
 from .count_model import count_moments, estimate_count, sample_count
 from .dataset import EnvRanges
 from .oracle import simulate_registrations
 from .pdf_net import AEModel, predict_pdf, predict_pdf_rows
 
-# The engine calls the row forms. build_flux, predict_pdf and estimate_count
-# are imported all the same: perfbench/tracing.py wraps the fast engine's
-# layers under this module's names.
+# The engine calls the row forms. predict_pdf and estimate_count are
+# imported all the same: perfbench/tracing.py wraps them under this module's
+# names, predict_pdf as the one layer its absent-layer test deletes, and
+# estimate_count's span has no other target.
 
 ENGINES = ("oracle", "fast")
 
@@ -154,10 +155,8 @@ class SceneSpec:
     pulse_energy: float
 
     def __post_init__(self):
-        depths = np.ascontiguousarray(self.depths, dtype=np.float64)
-        refl = np.broadcast_to(
-            np.asarray(self.reflectivity, dtype=np.float64), depths.shape
-        ).copy()
+        depths = frozen_copy(self.depths)
+        refl = frozen_copy(np.broadcast_to(self.reflectivity, depths.shape))
         if depths.ndim != 2:
             raise ParameterError("depth map must be 2-D")
         if not (np.all(np.isfinite(depths)) and np.all(np.isfinite(refl))

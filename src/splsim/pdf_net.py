@@ -24,6 +24,7 @@ from .core import (
     DiscretizedFunction,
     FormatError,
     ParameterError,
+    require_count,
 )
 
 MODEL_MAGIC = b"SPLAE1"
@@ -32,6 +33,7 @@ LEAKY_SLOPE = 0.01
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+VAL_EVERY = 25  # epochs between held-out loss evaluations; the last epoch is always evaluated
 
 ACT_LINEAR = 0
 ACT_LEAKY_RELU = 1
@@ -198,13 +200,10 @@ class TrainConfig:
     epochs: int = 5000
     learning_rate: float = 1e-3
     seed: int = 0
-    val_every: int = 25
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ParameterError("batch size must be >= 1")
-        if self.epochs < 1:
-            raise ParameterError("epoch count must be >= 1")
+        require_count("batch_size", self.batch_size, 1)
+        require_count("epochs", self.epochs, 1)
         if not 0 <= self.learning_rate < math.inf:
             raise ParameterError(f"learning rate must be non-negative and finite, got {self.learning_rate}")
 
@@ -292,7 +291,7 @@ def train(
                 adam.update(params, _backprop(model, out, pre, post, yb), cfg)
                 epoch_loss += batch_loss * len(idx)
             history.append(epoch_loss / n)
-            if has_val and (epoch % cfg.val_every == 0 or epoch == cfg.epochs - 1):
+            if has_val and (epoch % VAL_EVERY == 0 or epoch == cfg.epochs - 1):
                 val_out, _, _ = _forward_batch(model, np.asarray(val_x, dtype=np.float64))
                 val_history.append((epoch, loss_mse(val_out, np.asarray(val_y, dtype=np.float64))))
     return TrainResult(model=model, train_loss=history, val_loss=val_history)

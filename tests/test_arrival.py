@@ -12,6 +12,7 @@ from splsim import (
     FormatError,
     ParameterError,
     RngHandle,
+    SceneSpec,
     SystemParams,
     TimeGrid,
     TimestampBatch,
@@ -291,12 +292,29 @@ class TestSimulateArrivals:
 
 
 class TestBatchIO:
-    def test_batch_copies_caller_array(self):
+    # Every validated value type holds a read-only copy: the caller's array
+    # stays writable, and writing to it cannot undo the validation.
+    @pytest.mark.parametrize(
+        "make, held",
+        [
+            pytest.param(TimestampBatch, lambda b: [b.times], id="TimestampBatch"),
+            pytest.param(
+                lambda a: DiscretizedFunction(TimeGrid(2, 10.0), a), lambda f: [f.values], id="DiscretizedFunction"
+            ),
+            pytest.param(
+                lambda a: SceneSpec(a[None, :], a[None, :], b_level=1.0, pulse_energy=2.0),
+                lambda s: [s.depths, s.reflectivity],
+                id="SceneSpec",
+            ),
+        ],
+    )
+    def test_batch_copies_caller_array(self, make, held):
         a = np.array([1.0, 2.0])
-        batch = TimestampBatch(a)
-        a[0] = 5.0
-        assert batch.times[0] == 1.0
-        assert not batch.times.flags.writeable
+        value = make(a)
+        a[0] = -3.0
+        for array in held(value):
+            assert array.ravel()[0] == 1.0
+            assert not array.flags.writeable
 
     def _batch(self):
         return simulate_arrivals(

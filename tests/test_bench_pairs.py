@@ -64,7 +64,42 @@ def test_minor_faults_recorded_per_run(tmp_path, monkeypatch):
     assert calls == [("before", "40"), ("after", "40"), ("after", "41"), ("before", "41"),
                      ("before", "42"), ("after", "42")]
     record = json.loads(out.read_text())
-    assert record["items_per_s_wins_after"] == 3
+    assert record["claim_check"]["wins"] == 3
     assert record["before"]["minor_faults"] == {"q1": 1002.5, "median": 1004, "q3": 1004.5,
                                                 "runs": [1001, 1004, 1005]}
     assert record["after"]["minor_faults"]["runs"] == [1002, 1003, 1006]
+
+
+@pytest.mark.parametrize(
+    "before, after, after_failed, wins, met",
+    [
+        pytest.param([10, 11, 10.5, 10.2], [20, 21, 20.5, 20.2], 0, 4, True, id="met"),
+        pytest.param([10, 11, 10.5, 10.2], [20, 21, 20.5, 10.0], 0, 3, False, id="too-few-wins"),
+        pytest.param([10, 10, 11, 11], [10, 11, 11, 11], 0, 1, False, id="ties-count-for-neither"),
+        pytest.param([10, 30, 10, 30], [11, 31, 11, 31], 0, 4, False, id="gain-inside-spread"),
+        pytest.param([10, 11, 10.5, 10.2], [20, 21, 20.5, 20.2], 1, 4, False, id="more-failures"),
+    ],
+)
+def test_claim_check(tmp_path, monkeypatch, before, after, after_failed, wins, met):
+    # Pair i's items_per_s on each side is before[i] / after[i]; each run
+    # attempts 3 operations, and each after run fails after_failed of them.
+    bench_pairs = load_bench_pairs()
+    rates = {"before": before, "after": after}
+
+    def fake_benchmark(cmd, cwd, **kwargs):
+        side, pair = Path(cwd).name, int(cmd[cmd.index("--seed") + 1]) - 40
+        lines = [
+            {"env": {k: k for k in ("nproc", "cpus_usable", "python", "numpy", "blas", "blas_threads",
+                                    "commit")}},
+            {"attempted": 3, "failed": after_failed if side == "after" else 0,
+             "metrics": {"items_per_s": {"unit": "1/s", "value": rates[side][pair]}}},
+        ]
+        return subprocess.CompletedProcess(cmd, 0, stdout="\n".join(map(json.dumps, lines)))
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_benchmark)
+    out = tmp_path / "b.json"
+    bench_pairs.main(["--before", str(tmp_path / "before"), "--after", str(tmp_path / "after"),
+                      "--workload", "train_pipeline", "--pairs", "4", "--seed", "40", "--out", str(out)])
+    check = json.loads(out.read_text())["claim_check"]
+    assert (check["wins"], check["wins_needed"], check["met"]) == (wins, 4, met)
+    assert check["failed"] == {"before": "0/12", "after": f"{4 * after_failed}/12"}

@@ -9,8 +9,10 @@ from splsim import (
     DiscretizedFunction,
     EnvParams,
     ParameterError,
+    RngHandle,
     SystemParams,
     TimeGrid,
+    TrainConfig,
     arrival_pdf,
     build_flux,
 )
@@ -36,6 +38,7 @@ class TestParams:
             {"t_d": 10.0},  # must be < t_r
             {"sigma_t": 0.0},
             {"n_cycles": 0},
+            {"n_cycles": 100.5},
         ],
     )
     def test_invalid_system(self, kwargs):
@@ -58,6 +61,22 @@ class TestParams:
     def test_non_finite_rejected(self, make, field):
         with pytest.raises(ParameterError, match=rf"^{field}\b"):
             make()
+
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            pytest.param(lambda v: TimeGrid(v, 10.0), "n_bins", id="grid-n_bins"),
+            pytest.param(lambda v: SystemParams(n_cycles=v), "n_cycles", id="system-n_cycles"),
+            pytest.param(lambda v: TrainConfig(epochs=v), "epochs", id="train-epochs"),
+            pytest.param(lambda v: TrainConfig(batch_size=v), "batch_size", id="train-batch_size"),
+            pytest.param(lambda v: RngHandle(v), "seed", id="rng-seed"),
+            pytest.param(lambda v: RngHandle(0, v), "stream", id="rng-stream"),
+        ],
+    )
+    def test_counts_are_integers(self, make, field):
+        make(np.int64(64))  # numpy integers are counts too
+        with pytest.raises(ParameterError, match=rf"^{field}\b"):
+            make(64.5)
 
     def test_invalid_env(self):
         with pytest.raises(ParameterError):

@@ -41,8 +41,9 @@ class TestCull:
         assert np.array_equal(out, [1.0, 3.0])
 
     def test_negative_dead_time_rejected(self):
-        with pytest.raises(ParameterError):
-            cull_dead_time(np.array([1.0]), -0.5)
+        for t_d in (-0.5, math.nan, math.inf):
+            with pytest.raises(ParameterError):
+                cull_dead_time(np.array([1.0]), t_d)
 
     @pytest.mark.parametrize("times", [np.array([[1.0, 2.0], [3.0, 4.0]]), np.array(1.0)], ids=["2-d", "0-d"])
     def test_not_one_dimensional_rejected(self, times):

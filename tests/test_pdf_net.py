@@ -20,6 +20,7 @@ from splsim import (
 from splsim.pdf_net import (
     ACT_LEAKY_RELU,
     ACT_LINEAR,
+    VAL_EVERY,
     AEModel,
     TrainConfig,
     TrainingDivergedError,
@@ -216,12 +217,12 @@ class TestTraining:
             model,
             xs,
             ys,
-            TrainConfig(batch_size=8, epochs=10, seed=0, val_every=5),
+            TrainConfig(batch_size=8, epochs=VAL_EVERY + 5, seed=0),
             val_x=xs[:4],
             val_y=ys[:4],
         )
         epochs = [e for e, _ in result.val_loss]
-        assert epochs == [0, 5, 9]
+        assert epochs == [0, VAL_EVERY, VAL_EVERY + 4]
 
     @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -1.0], ids=["nan", "inf", "negative"])
     def test_bad_learning_rate_rejected(self, lr):
