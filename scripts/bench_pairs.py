@@ -84,7 +84,8 @@ def claim_check(before: dict, after: dict) -> dict:
         "wins_needed": wins_needed,
         "median_gain": median_gain,
         "before_spread": before_spread,
-        "failed": {side: f"{s['failed']}/{s['attempted']}" for side, s in (("before", before), ("after", after))},
+        "failed": {"before": f"{before['failed']}/{before['attempted']}",
+                   "after": f"{after['failed']}/{after['attempted']}"},
         "met": wins >= wins_needed and median_gain > before_spread and no_more_failures,
     }
 

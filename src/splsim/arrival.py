@@ -32,7 +32,7 @@ from .core import (
     arrival_pdf,
     build_flux,
     frozen_copy,
-    require_count,
+    require_integer,
 )
 
 _MIX = 0x9E3779B97F4A7C15  # 64-bit golden-ratio multiplier for stream derivation
@@ -135,8 +135,8 @@ class RngHandle:
     stream: int = 0
 
     def __post_init__(self):
-        require_count("seed", self.seed, 0)
-        require_count("stream", self.stream, 0)
+        require_integer("seed", self.seed, 0)
+        require_integer("stream", self.stream, 0)
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))

@@ -108,17 +108,19 @@ def _write_table(path: Path, header: "list[str]", rows) -> None:
         writer.writerows(rows)
 
 
-def _run_scene(scene, engines, sys_p, grid, rng, model, out: Path, runtime_name: str) -> dict:
-    """Each engine's depth map as depth_<engine>.csv, and one runtime table; returns the results by engine."""
-    results = {engine: simulate_image(scene, sys_p, grid, engine, rng, model=model) for engine in engines}
-    for engine, result in results.items():
+def _run_scene(scene, engines, sys_p, grid, rng, model, out: Path, runtime_name: str) -> list:
+    """Write each engine's depth_<engine>.csv, then one runtime table; returns the table's rows as tuples."""
+    runtimes = []
+    for engine in engines:
+        result = simulate_image(scene, sys_p, grid, engine, rng, model=model)
         write_depth_csv(result.depth_estimate, out / f"depth_{engine}.csv")
+        runtimes.append((engine, result.total_seconds, result.mean_pixel_seconds))
     _write_table(
         out / runtime_name,
         ["engine", "total_seconds", "mean_pixel_seconds"],
-        ([e, f"{r.total_seconds:.9f}", f"{r.mean_pixel_seconds:.9f}"] for e, r in results.items()),
+        ([engine, f"{total:.9f}", f"{per_pixel:.9f}"] for engine, total, per_pixel in runtimes),
     )
-    return results
+    return runtimes
 
 
 def cmd_gen_dataset(args) -> int:
@@ -274,9 +276,9 @@ def cmd_depth_demo(args) -> int:
     )
     write_scene(scene, out / "scene.txt")
     write_depth_csv(scene.depths, out / "depth_true.csv")
-    results = _run_scene(scene, ENGINES, sys_p, grid, RngHandle(s["seed"]), model, out, "runtime.csv")
-    for engine, result in results.items():
-        print(f"{engine}: {result.total_seconds:.3f}s total, {result.mean_pixel_seconds * 1e3:.3f}ms per pixel")
+    runtimes = _run_scene(scene, ENGINES, sys_p, grid, RngHandle(s["seed"]), model, out, "runtime.csv")
+    for engine, total, per_pixel in runtimes:
+        print(f"{engine}: {total:.3f}s total, {per_pixel * 1e3:.3f}ms per pixel")
     return EXIT_OK
 
 

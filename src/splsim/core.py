@@ -33,8 +33,8 @@ class NoPhotonError(RuntimeError):
     """An estimator was asked to run on an empty timestamp batch."""
 
 
-def require_count(name: str, value, minimum: int) -> None:
-    """Reject a count that is not a Python or numpy integer of at least minimum."""
+def require_integer(name: str, value, minimum: int) -> None:
+    """Reject a count, seed or stream id that is not a Python or numpy integer of at least minimum."""
     if not (isinstance(value, (int, np.integer)) and value >= minimum):
         raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
@@ -71,7 +71,7 @@ class SystemParams:
             raise ParameterError(
                 f"sigma_t (pulse half width) must be positive and much smaller than t_r, got {self.sigma_t}"
             )
-        require_count("n_cycles", self.n_cycles, 1)
+        require_integer("n_cycles", self.n_cycles, 1)
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,7 @@ class TimeGrid:
     t_r: float = 10.0
 
     def __post_init__(self):
-        require_count("n_bins", self.n_bins, 1)
+        require_integer("n_bins", self.n_bins, 1)
         if not 0 < self.t_r < math.inf:
             raise ParameterError(f"t_r (grid period) must be positive and finite, got {self.t_r}")
 

@@ -24,7 +24,7 @@ from .core import (
     DiscretizedFunction,
     FormatError,
     ParameterError,
-    require_count,
+    require_integer,
 )
 
 MODEL_MAGIC = b"SPLAE1"
@@ -202,8 +202,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_count("batch_size", self.batch_size, 1)
-        require_count("epochs", self.epochs, 1)
+        require_integer("batch_size", self.batch_size, 1)
+        require_integer("epochs", self.epochs, 1)
+        require_integer("seed", self.seed, 0)
         if not 0 <= self.learning_rate < math.inf:
             raise ParameterError(f"learning rate must be non-negative and finite, got {self.learning_rate}")
 

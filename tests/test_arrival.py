@@ -299,7 +299,9 @@ class TestBatchIO:
         [
             pytest.param(TimestampBatch, lambda b: [b.times], id="TimestampBatch"),
             pytest.param(
-                lambda a: DiscretizedFunction(TimeGrid(2, 10.0), a), lambda f: [f.values], id="DiscretizedFunction"
+                lambda a: DiscretizedFunction(TimeGrid(2, 10.0), a),
+                lambda f: [f.values],
+                id="DiscretizedFunction",
             ),
             pytest.param(
                 lambda a: SceneSpec(a[None, :], a[None, :], b_level=1.0, pulse_energy=2.0),

@@ -69,6 +69,7 @@ class TestParams:
             pytest.param(lambda v: SystemParams(n_cycles=v), "n_cycles", id="system-n_cycles"),
             pytest.param(lambda v: TrainConfig(epochs=v), "epochs", id="train-epochs"),
             pytest.param(lambda v: TrainConfig(batch_size=v), "batch_size", id="train-batch_size"),
+            pytest.param(lambda v: TrainConfig(seed=v), "seed", id="train-seed"),
             pytest.param(lambda v: RngHandle(v), "seed", id="rng-seed"),
             pytest.param(lambda v: RngHandle(0, v), "stream", id="rng-stream"),
         ],
