@@ -3,9 +3,10 @@
 Runs ``perfbench/run.py`` (tracing off) in two checkouts, pair by pair,
 swapping which side goes first on every other pair, and writes each
 side's median and quartiles of every end-to-end metric and of each run's
-minor page faults, the environment both sides reported (core count,
-numpy, BLAS, commit), and ``claim_check``: whether the after side's gain
-on ``items_per_s`` may be claimed.
+minor page faults, each run's ``output_sha256``, the environment both
+sides reported (core count, numpy, BLAS, commit), ``same_output``: whether
+both sides of every pair printed the same digest, and ``claim_check``:
+whether the after side's gain on ``items_per_s`` may be claimed.
 
     python3 scripts/bench_pairs.py --before ../parent --after . --workload image_fast \\
         --pairs 10 --seed 101 --seconds 30 --out BENCH_batched_image.json
@@ -38,7 +39,7 @@ def _child_minor_faults() -> int:
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark process; returns its environment line, its result line and its minor faults."""
+    """One benchmark process; returns its environment and result lines, minor faults and output digest."""
     faults = _child_minor_faults()
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -47,7 +48,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     )
     faults = _child_minor_faults() - faults
     lines = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("{")]
-    return {"env": lines[0]["env"], "result": lines[-1], "minor_faults": faults}
+    digest = next(line["passes"]["output_sha256"] for line in lines if "passes" in line)
+    return {"env": lines[0]["env"], "result": lines[-1], "minor_faults": faults, "output_sha256": digest}
 
 
 def quartiles(values: "list[float]") -> dict:
@@ -67,6 +69,7 @@ def summarise(runs: "list[dict]") -> dict:
             for name, spec in metrics.items()
         },
         "minor_faults": quartiles([r["minor_faults"] for r in runs]),
+        "output_sha256": [r["output_sha256"] for r in runs],
     }
 
 
@@ -128,14 +131,15 @@ def main(argv=None) -> int:
         "order": "before first on even pairs, after first on odd pairs",
         "before": before,
         "after": after,
+        "same_output": before["output_sha256"] == after["output_sha256"],
         "claim_check": claim_check(before, after),
     }
     args.out.write_text(json.dumps(record, indent=2) + "\n")
     check = record["claim_check"]
     print(f"items_per_s claim {'met' if check['met'] else 'not met'}: {check['wins']}/{args.pairs} wins "
           f"(need {check['wins_needed']}), median gain {check['median_gain']:.3g} vs before q3-q1 "
-          f"{check['before_spread']:.3g}, failed {check['failed']['before']} -> {check['failed']['after']}",
-          file=sys.stderr)
+          f"{check['before_spread']:.3g}, failed {check['failed']['before']} -> {check['failed']['after']}; "
+          f"{'same' if record['same_output'] else 'different'} output digests", file=sys.stderr)
     return 0
 
 

@@ -200,14 +200,14 @@ def sample_bin_counts(n: int, bin_mass: np.ndarray, grid: TimeGrid, gen: np.rand
 def place_in_bins(bins: np.ndarray, u: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """sample_bin_counts's placement for one row of bin counts or for P rows (P x K) at once.
 
-    u holds one uniform per timestamp, the rows' draws concatenated. Each
-    timestamp lies at its bin's start plus u times the bin width, clamped
-    below t_r; the result is the rows' timestamps concatenated, row i
-    bit-identical to placing row i alone.
+    u holds one uniform per timestamp, the rows' draws concatenated, and is
+    consumed (scaled in place). Each timestamp lies at its bin's start plus
+    u times the bin width, clamped below t_r; the result is the rows'
+    timestamps concatenated, row i bit-identical to placing row i alone.
     """
     starts = np.broadcast_to(grid.edges()[:-1], bins.shape)
     t = np.repeat(starts.ravel(), bins.ravel())
-    t += u * grid.bin_width
+    t += np.multiply(u, grid.bin_width, out=u)
     return np.minimum(t, np.nextafter(grid.t_r, 0.0), out=t)
 
 

@@ -192,7 +192,8 @@ class TestInverseTransform:
         bins = np.stack([gen.multinomial(n, np.full(16, 1 / 16)) for n in (40, 0, 75)])
         u = gen.random(bins.sum())
         rows = np.split(u, np.cumsum(bins.sum(axis=1))[:-1])
-        alone = np.concatenate([place_in_bins(b, r, grid) for b, r in zip(bins, rows)])
+        # place_in_bins scales its uniforms in place, so each row gets a copy of its share.
+        alone = np.concatenate([place_in_bins(b, r.copy(), grid) for b, r in zip(bins, rows)])
         assert np.array_equal(place_in_bins(bins, u, grid), alone)
 
     def test_sample_paths_share_distribution(self):

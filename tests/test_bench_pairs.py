@@ -10,6 +10,16 @@ import pytest
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
 
 
+def perfbench_stdout(rate, failed=0, digest="0" * 64):
+    """What perfbench/run.py prints for one run: environment, passes and result lines, 3 operations."""
+    lines = [
+        {"env": {k: k for k in ("nproc", "cpus_usable", "python", "numpy", "blas", "blas_threads", "commit")}},
+        {"passes": {"item": "px", "output_sha256": digest}},
+        {"attempted": 3, "failed": failed, "metrics": {"items_per_s": {"unit": "1/s", "value": rate}}},
+    ]
+    return "\n".join(map(json.dumps, lines))
+
+
 def load_bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
     bench_pairs = importlib.util.module_from_spec(spec)
@@ -48,12 +58,7 @@ def test_minor_faults_recorded_per_run(tmp_path, monkeypatch):
         calls.append((Path(cwd).name, cmd[cmd.index("--seed") + 1]))
         children_faults[0] += 1000 + len(calls)
         rate = 10.0 if Path(cwd).name == "before" else 12.0
-        lines = [
-            {"env": {k: k for k in ("nproc", "cpus_usable", "python", "numpy", "blas", "blas_threads",
-                                    "commit")}},
-            {"attempted": 3, "failed": 0, "metrics": {"items_per_s": {"unit": "1/s", "value": rate}}},
-        ]
-        return subprocess.CompletedProcess(cmd, 0, stdout="noise\n" + "\n".join(map(json.dumps, lines)))
+        return subprocess.CompletedProcess(cmd, 0, stdout="noise\n" + perfbench_stdout(rate))
 
     monkeypatch.setattr(bench_pairs.resource, "getrusage", fake_getrusage)
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_benchmark)
@@ -88,13 +93,8 @@ def test_claim_check(tmp_path, monkeypatch, before, after, after_failed, wins, m
 
     def fake_benchmark(cmd, cwd, **kwargs):
         side, pair = Path(cwd).name, int(cmd[cmd.index("--seed") + 1]) - 40
-        lines = [
-            {"env": {k: k for k in ("nproc", "cpus_usable", "python", "numpy", "blas", "blas_threads",
-                                    "commit")}},
-            {"attempted": 3, "failed": after_failed if side == "after" else 0,
-             "metrics": {"items_per_s": {"unit": "1/s", "value": rates[side][pair]}}},
-        ]
-        return subprocess.CompletedProcess(cmd, 0, stdout="\n".join(map(json.dumps, lines)))
+        failed = after_failed if side == "after" else 0
+        return subprocess.CompletedProcess(cmd, 0, stdout=perfbench_stdout(rates[side][pair], failed))
 
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_benchmark)
     out = tmp_path / "b.json"
@@ -103,3 +103,28 @@ def test_claim_check(tmp_path, monkeypatch, before, after, after_failed, wins, m
     check = json.loads(out.read_text())["claim_check"]
     assert (check["wins"], check["wins_needed"], check["met"]) == (wins, 4, met)
     assert check["failed"] == {"before": "0/12", "after": f"{4 * after_failed}/12"}
+
+
+@pytest.mark.parametrize(
+    "after_digests, same",
+    [(["s40", "s41", "s42"], True), (["s40", "x41", "s42"], False), (["s41", "s40", "s42"], False)],
+    ids=["same", "one-pair-differs", "digests-swapped-across-pairs"],
+)
+def test_output_digests_recorded_and_compared_pair_by_pair(tmp_path, monkeypatch, after_digests, same):
+    # The before run with seed 40 + i prints digest "s{40 + i}"; the after
+    # run of the same pair prints after_digests[i].
+    bench_pairs = load_bench_pairs()
+
+    def fake_benchmark(cmd, cwd, **kwargs):
+        seed = int(cmd[cmd.index("--seed") + 1])
+        digest = f"s{seed}" if Path(cwd).name == "before" else after_digests[seed - 40]
+        return subprocess.CompletedProcess(cmd, 0, stdout=perfbench_stdout(10.0, digest=digest))
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_benchmark)
+    out = tmp_path / "b.json"
+    bench_pairs.main(["--before", str(tmp_path / "before"), "--after", str(tmp_path / "after"),
+                      "--workload", "image_oracle", "--pairs", "3", "--seed", "40", "--out", str(out)])
+    record = json.loads(out.read_text())
+    assert record["before"]["output_sha256"] == ["s40", "s41", "s42"]
+    assert record["after"]["output_sha256"] == after_digests
+    assert record["same_output"] is same

@@ -190,11 +190,12 @@ class TestSceneSpec:
     @pytest.mark.parametrize(
         "field, value",
         [("depths", np.inf), ("depths", np.nan), ("depths", -1.0), ("reflectivity", np.nan),
-         ("b_level", np.nan), ("pulse_energy", np.inf)],
+         ("b_level", np.nan), ("pulse_energy", np.inf),
+         pytest.param("reflectivity", np.ones((3, 2)), id="reflectivity-shape")],
     )
     def test_bad_values_rejected(self, tmp_path, field, value):
         fields = dict(depths=np.full((2, 2), 4.0), reflectivity=np.ones((2, 2)), b_level=0.5, pulse_energy=1.0)
-        if field in ("depths", "reflectivity"):
+        if field in ("depths", "reflectivity") and np.ndim(value) == 0:
             fields[field][0, 1] = value
         else:
             fields[field] = value

@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from splsim import (
     simulate_arrivals,
     simulate_registrations,
 )
+from splsim import oracle
 from splsim.oracle import cull_dead_time, registration_counts
 
 
@@ -61,6 +63,15 @@ class TestCull:
         last, a = times
         assert (a - last >= t_d) != (a >= last + t_d)
         assert_same_bits(cull_dead_time(np.array(times), t_d), np.array(kept))
+
+    @pytest.mark.parametrize(
+        "times",
+        [[1.0, 3.0, 2.0], [1.0, math.nan, 2.0], [1.0, 2.0, math.inf], [-math.inf, 1.0, 2.0]],
+        ids=["descending", "nan", "inf", "-inf"],
+    )
+    def test_not_finite_or_not_ascending_rejected(self, times):
+        with pytest.raises(ParameterError, match="finite and ascending"):
+            cull_dead_time(np.array(times), 0.5)
 
     def test_strided_view_and_list_match_reference(self):
         times = np.cumsum(np.random.default_rng(3).exponential(1.0, 400))
@@ -145,6 +156,103 @@ class TestCullProperties:
     @given(times=sorted_arrivals)
     def test_zero_dead_time_returns_input(self, times):
         assert np.array_equal(cull_dead_time(times, 0.0), times)
+
+
+@st.composite
+def segmented_arrivals(draw):
+    """(times, t_d): runs of gaps below t_d cut by gaps well above it.
+
+    Up to 400 arrivals, or enough for the lockstep path. A lattice of t_d / 4
+    steps far from zero makes a - last >= t_d and a >= last + t_d disagree
+    often, and rounds small gaps to ties.
+    """
+    lockstep = oracle.LOCKSTEP_ARRIVALS
+    n = draw(st.one_of(st.integers(1, 400), st.integers(lockstep, lockstep + 2000)))
+    t_d = draw(st.sampled_from([0.11, 0.56, 1.0, 8.0]))
+    mean_gap = draw(st.floats(0.01, 1.5)) * t_d
+    cut_share = draw(st.sampled_from([0.0, 0.002, 0.02, 0.1, 0.5]))
+    offset = draw(st.sampled_from([0.0, -1e3, 1e6]))
+    lattice = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gaps = rng.exponential(mean_gap, n)
+    cuts = rng.random(n) < cut_share
+    gaps[cuts] = t_d * (1.0 + rng.exponential(5.0, np.count_nonzero(cuts)))
+    if lattice:
+        gaps = np.round(gaps / (t_d / 4)) * (t_d / 4)
+    return offset + np.cumsum(gaps), t_d
+
+
+@contextlib.contextmanager
+def forced_lockstep():
+    """Run the cull's lockstep on any input, down to the last segment."""
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("LOCKSTEP_ARRIVALS", "LOCKSTEP_SEGMENTS", "TAIL_SEGMENTS"):
+            patch.setattr(oracle, name, 0)
+        yield
+
+
+def embedded(times, t_d):
+    """times between two blocks of arrivals at gaps of mean t_d / 2, enough for the lockstep path."""
+    rng = np.random.default_rng(17)
+    block = oracle.LOCKSTEP_ARRIVALS // 2
+    left = times[0] - 1.0 - np.cumsum(rng.exponential(t_d / 2, block))[::-1]
+    right = times[-1] + 1.0 + np.cumsum(rng.exponential(t_d / 2, block))
+    return np.concatenate([left, times, right])
+
+
+LOCKSTEP_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+class TestCullLockstep:
+    @LOCKSTEP_SETTINGS
+    @given(case=segmented_arrivals())
+    def test_matches_list_loop_bit_for_bit(self, case):
+        times, t_d = case
+        want = reference_cull(times, t_d)
+        assert_same_bits(cull_dead_time(times, t_d), want)
+        with forced_lockstep():
+            assert_same_bits(cull_dead_time(times, t_d), want)
+
+    @LOCKSTEP_SETTINGS
+    @given(case=segmented_arrivals())
+    def test_arrival_after_long_gap_registered(self, case):
+        times, t_d = case
+        after_gap = times[1:][times[1:] - times[:-1] >= t_d]
+        for kept in (cull_dead_time(times, t_d), reference_cull(times, t_d)):
+            assert kept[0] == times[0]
+            assert np.all(np.isin(after_gap, kept))
+
+    @pytest.mark.parametrize(
+        "times, t_d, kept",
+        [([2.9, 3.01], 0.11, [2.9]), ([0.32, 0.88], 0.56, [0.32, 0.88]),
+         ([0.32, 0.5, 0.88], 0.56, [0.32, 0.88])],
+        ids=["difference-below", "threshold-above", "threshold-above-after-skip"],
+    )
+    def test_difference_form_in_many_segments(self, times, t_d, kept):
+        # TestCull's pairs, where a - last >= t_d and a >= last + t_d
+        # disagree, inside an input that takes the lockstep path.
+        assert (times[-1] - times[0] >= t_d) != (times[-1] >= times[0] + t_d)
+        big = embedded(np.array(times), t_d)
+        assert big.size >= oracle.LOCKSTEP_ARRIVALS
+        assert np.count_nonzero(big[1:] - big[:-1] >= t_d) > oracle.LOCKSTEP_SEGMENTS > oracle.TAIL_SEGMENTS
+        out = cull_dead_time(big, t_d)
+        assert_same_bits(out, reference_cull(big, t_d))
+        assert_same_bits(out[(out >= times[0]) & (out <= times[-1])], np.array(kept))
+
+    def test_one_search_per_registration(self, monkeypatch):
+        # The lockstep searches from each registration once: no chain runs
+        # past the start of the next segment.
+        keys = []
+        searchsorted = np.searchsorted
+
+        def counted(a, v, *args, **kwargs):
+            keys.append(np.size(v))
+            return searchsorted(a, v, *args, **kwargs)
+
+        times = np.cumsum(np.random.default_rng(5).exponential(8.0 / 3, 30_000))
+        monkeypatch.setattr(np, "searchsorted", counted)
+        kept = cull_dead_time(times, 8.0)
+        assert len(keys) > 2 and sum(keys) == kept.size
 
 
 class TestSimulateRegistrations:
