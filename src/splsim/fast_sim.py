@@ -157,10 +157,11 @@ class SceneSpec:
     def __post_init__(self):
         depths = frozen_copy(self.depths)
         try:
-            refl = frozen_copy(np.broadcast_to(self.reflectivity, depths.shape))
+            refl = np.broadcast_to(self.reflectivity, depths.shape)
         except ValueError:
             raise ParameterError(f"reflectivity of shape {np.shape(self.reflectivity)} does not "
                                  f"broadcast to the depth map's shape {depths.shape}") from None
+        refl = frozen_copy(refl)
         if depths.ndim != 2:
             raise ParameterError("depth map must be 2-D")
         if not (np.all(np.isfinite(depths)) and np.all(np.isfinite(refl))

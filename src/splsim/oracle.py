@@ -88,8 +88,7 @@ def cull_dead_time(abs_times: np.ndarray, t_d: float) -> np.ndarray:
     keep = np.concatenate(([True], gaps >= t_d))
     del gaps
     starts = np.flatnonzero(keep)
-    # Each chain runs to the next segment's start; the last one is left to the tail.
-    cur, end = starts[:-1], starts[1:]
+    cur, end = starts[:-1], starts[1:]  # chains end at the next segment's start; the last is left to the tail
     while cur.size > TAIL_SEGMENTS:
         base = a[cur]
         j = np.searchsorted(a, base + t_d)
