@@ -5,8 +5,10 @@ swapping which side goes first on every other pair, and writes each
 side's median and quartiles of every end-to-end metric and of each run's
 minor page faults, each run's ``output_sha256``, the environment both
 sides reported (core count, numpy, BLAS, commit), ``same_output``: whether
-both sides of every pair printed the same digest, and ``claim_check``:
-whether the after side's gain on ``items_per_s`` may be claimed.
+both sides of every pair printed the same digest, ``claim_check``: whether
+the after side's gain on ``items_per_s`` may be claimed, and
+``regression_check``: whether each end-to-end metric of ``BENCHMARK.json``
+stayed within its bound.
 
     python3 scripts/bench_pairs.py --before ../parent --after . --workload image_fast \\
         --pairs 10 --seed 101 --seconds 30 --out BENCH_batched_image.json
@@ -15,6 +17,12 @@ A gain may be claimed only when the after side wins at least nine tenths
 of the pairs (ties count for neither side), its median beats the before
 side's by more than the before side's q3 - q1, and no larger share of its
 operations failed.
+
+An end-to-end metric regresses when its after median is worse than the
+before median by more than the metric's ``bound``, as a fraction of the
+before median, in the direction its ``better`` names. The check is
+``unresolved`` when the before side's (q3 - q1) / median exceeds the bound,
+unless every after run beats every before run.
 
 Pair i uses seed ``--seed + i`` on both sides. Each checkout should be a
 git clone, so that its commit is recorded. A run's minor faults are the
@@ -32,6 +40,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
 def _child_minor_faults() -> int:
@@ -93,6 +103,26 @@ def claim_check(before: dict, after: dict) -> dict:
     }
 
 
+def regression_check(before: dict, after: dict, end_to_end: "list[dict]") -> dict:
+    """Per end-to-end metric of BENCHMARK.json: the after median's relative worsening against its bound."""
+    checks = {}
+    for spec in end_to_end:
+        b, a = before["metrics"][spec["name"]], after["metrics"][spec["name"]]
+        sign = 1.0 if spec["better"] == "lower" else -1.0  # worse is larger when lower is better
+        worsening = sign * (a["median"] - b["median"]) / b["median"]
+        before_spread = (b["q3"] - b["q1"]) / b["median"]
+        after_beats_all = max(sign * x for x in a["runs"]) < min(sign * y for y in b["runs"])
+        checks[spec["name"]] = {
+            "better": spec["better"],
+            "bound": spec["bound"],
+            "worsening": worsening,
+            "within_bound": worsening <= spec["bound"],
+            "before_spread": before_spread,
+            "unresolved": before_spread > spec["bound"] and not after_beats_all,
+        }
+    return checks
+
+
 def pair_count(text: str) -> int:
     """--pairs: at least two, because the summary takes quartiles over the pairs."""
     pairs = int(text)
@@ -133,6 +163,7 @@ def main(argv=None) -> int:
         "after": after,
         "same_output": before["output_sha256"] == after["output_sha256"],
         "claim_check": claim_check(before, after),
+        "regression_check": regression_check(before, after, json.loads(BENCHMARK.read_text())["end_to_end"]),
     }
     args.out.write_text(json.dumps(record, indent=2) + "\n")
     check = record["claim_check"]
@@ -140,6 +171,10 @@ def main(argv=None) -> int:
           f"(need {check['wins_needed']}), median gain {check['median_gain']:.3g} vs before q3-q1 "
           f"{check['before_spread']:.3g}, failed {check['failed']['before']} -> {check['failed']['after']}; "
           f"{'same' if record['same_output'] else 'different'} output digests", file=sys.stderr)
+    for name, reg in record["regression_check"].items():
+        verdict = "unresolved" if reg["unresolved"] else "within" if reg["within_bound"] else "beyond"
+        print(f"{name}: worse by {reg['worsening']:+.3f} ({reg['better']} is better), {verdict} bound "
+              f"{reg['bound']:g}; before (q3-q1)/median {reg['before_spread']:.3f}", file=sys.stderr)
     return 0
 
 

@@ -6,6 +6,10 @@ layers use a leaky rectifier, the output layer is linear, and training
 minimizes the mean squared error against empirical registration PDFs.
 Forward, backward, and Adam are implemented directly in numpy so the
 gradients are fully inspectable.
+
+All parameters live in one float64 vector, layer by layer, weight then
+bias, as the .splae body stores them; weights, biases, gradients and the
+Adam moments are per-layer views of vectors with that layout.
 """
 
 from __future__ import annotations
@@ -55,13 +59,22 @@ def standard_layer_dims(n_bins: int) -> "list[int]":
     return down + down[-2::-1]
 
 
+def _param_views(dims: "list[int]", vec: np.ndarray) -> "list[np.ndarray]":
+    """Views of vec as [weight 0, bias 0, weight 1, bias 1, ...] of layers with widths dims."""
+    shapes = [shape for d_in, d_out in zip(dims, dims[1:]) for shape in ((d_out, d_in), (d_out,))]
+    ends = np.cumsum([math.prod(shape) for shape in shapes])
+    return [part.reshape(shape) for part, shape in zip(np.split(vec, ends[:-1]), shapes)]
+
+
 @dataclass
 class AEModel:
     """Affine layer stack with per-layer activations and an input scale.
 
     weights[i] has shape (layer_dims[i+1], layer_dims[i]); the input scale
     multiplies the raw flux vector before the first layer and is stored in
-    the model file so inference matches training.
+    the model file so inference matches training. The constructor copies
+    the given weights and biases into flat; weights, biases and
+    parameters() are views of it.
     """
 
     layer_dims: "list[int]"
@@ -69,6 +82,7 @@ class AEModel:
     biases: "list[np.ndarray]"
     activations: "list[int]"
     input_scale: float = 1.0
+    flat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n_affine = len(self.layer_dims) - 1
@@ -84,23 +98,24 @@ class AEModel:
                 )
             if self.biases[i].shape != (self.layer_dims[i + 1],):
                 raise ParameterError(f"layer {i}: bias shape mismatch")
-            if not (np.all(np.isfinite(self.weights[i])) and np.all(np.isfinite(self.biases[i]))):
-                raise ParameterError(f"layer {i}: non-finite parameters")
             if self.activations[i] not in (ACT_LINEAR, ACT_LEAKY_RELU):
                 raise ParameterError(f"layer {i}: unknown activation id {self.activations[i]}")
         if not (np.isfinite(self.input_scale) and self.input_scale > 0):
             raise ParameterError(f"input scale must be finite and positive, got {self.input_scale}")
+        layers = zip(self.weights, self.biases)
+        self.flat = np.concatenate([np.ravel(a) for layer in layers for a in layer], dtype=np.float64)
+        if not np.isfinite(self.flat).all():
+            raise ParameterError("non-finite parameters")
+        params = self.parameters()
+        self.weights, self.biases = params[0::2], params[1::2]
 
     @property
     def n_bins(self) -> int:
         return self.layer_dims[0]
 
     def parameters(self) -> "list[np.ndarray]":
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+        """Views of flat: [weight 0, bias 0, weight 1, bias 1, ...]."""
+        return _param_views(self.layer_dims, self.flat)
 
 
 def build_model(
@@ -114,14 +129,10 @@ def build_model(
     if dims[0] != n_bins or dims[-1] != n_bins:
         raise ParameterError("first and last layer widths must equal the bin count")
     gen = RngHandle(seed).generator()
-    weights, biases, acts = [], [], []
-    n_affine = len(dims) - 1
-    for i in range(n_affine):
-        bound = 1.0 / np.sqrt(dims[i])
-        weights.append(gen.uniform(-bound, bound, size=(dims[i + 1], dims[i])))
-        biases.append(np.zeros(dims[i + 1]))
-        acts.append(ACT_LINEAR if i == n_affine - 1 else ACT_LEAKY_RELU)
-    return AEModel(dims, weights, biases, acts, input_scale=input_scale)
+    weights = [gen.uniform(-1.0 / np.sqrt(d_in), 1.0 / np.sqrt(d_in), size=(d_out, d_in))
+               for d_in, d_out in zip(dims, dims[1:])]
+    acts = [ACT_LEAKY_RELU] * (len(dims) - 2) + [ACT_LINEAR]
+    return AEModel(dims, weights, [np.zeros(d_out) for d_out in dims[1:]], acts, input_scale=input_scale)
 
 
 def _activate(z: np.ndarray, kind: int) -> np.ndarray:
@@ -177,20 +188,18 @@ def backward(model: AEModel, x: np.ndarray, label: np.ndarray) -> "list[np.ndarr
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     label = np.atleast_2d(np.asarray(label, dtype=np.float64))
     out, pre, post = _forward_batch(model, x)
-    return _backprop(model, out, pre, post, label)
+    return _backprop(model, out, pre, post, label, _param_views(model.layer_dims, np.empty_like(model.flat)))
 
 
-def _backprop(model: AEModel, out: np.ndarray, pre: list, post: list, label: np.ndarray) -> "list[np.ndarray]":
-    """Backward sweep over a cached forward pass; see backward."""
+def _backprop(model: AEModel, out: np.ndarray, pre: list, post: list, label: np.ndarray, grads: list) -> list:
+    """Backward sweep over a cached forward pass into grads, views laid out as parameters(); returns grads."""
     delta = 2.0 * (out - label) / out.size
-    grads: "list[np.ndarray]" = []
     for i in reversed(range(len(model.weights))):
         delta = delta * _activate_grad(pre[i], model.activations[i])
-        grads.append(delta.sum(axis=0))       # bias
-        grads.append(delta.T @ post[i])       # weight
+        delta.sum(axis=0, out=grads[2 * i + 1])
+        np.matmul(delta.T, post[i], out=grads[2 * i])
         if i:
             delta = delta @ model.weights[i]
-    grads.reverse()
     return grads
 
 
@@ -209,34 +218,6 @@ class TrainConfig:
             raise ParameterError(f"learning rate must be non-negative and finite, got {self.learning_rate}")
 
 
-@dataclass
-class AdamState:
-    """First/second moment accumulators mirroring the parameter list."""
-
-    m: "list[np.ndarray]"
-    v: "list[np.ndarray]"
-    step: int = 0
-
-    @classmethod
-    def for_model(cls, model: AEModel) -> "AdamState":
-        params = model.parameters()
-        return cls(
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
-        )
-
-    def update(self, params: "list[np.ndarray]", grads: "list[np.ndarray]", cfg: TrainConfig):
-        self.step += 1
-        corr1 = 1.0 - ADAM_BETA1 ** self.step
-        corr2 = 1.0 - ADAM_BETA2 ** self.step
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * g * g
-            p -= cfg.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPS)
-
-
 class TrainingDivergedError(RuntimeError):
     def __init__(self, epoch: int, batch_index: int):
         super().__init__(f"loss became non-finite at epoch {epoch}, batch {batch_index}")
@@ -251,6 +232,16 @@ class TrainResult:
     val_loss: "list[tuple[int, float]]" = field(default_factory=list)
 
 
+def _pairs(x_name: str, x, y_name: str, y, n_bins: int) -> "tuple[np.ndarray, np.ndarray]":
+    """x and y as float64 arrays, checked to be (rows, n_bins) of the same shape."""
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != n_bins:
+        raise ParameterError(f"{x_name} must have shape (rows, {n_bins}), got {x.shape}")
+    if y.shape != x.shape:
+        raise ParameterError(f"{y_name} shape {y.shape} does not match {x_name} shape {x.shape}")
+    return x, y
+
+
 def train(
     model: AEModel,
     train_x: np.ndarray,
@@ -261,21 +252,23 @@ def train(
 ) -> TrainResult:
     """Mini-batch Adam training on (scaled flux, label PDF) pairs.
 
-    A validation set with no rows counts as none.
+    Every array is checked before the first update. A validation set with
+    no rows counts as none.
     """
-    train_x = np.asarray(train_x, dtype=np.float64)
-    train_y = np.asarray(train_y, dtype=np.float64)
-    if train_x.ndim != 2 or train_x.shape != train_y.shape:
-        raise ParameterError("training inputs and labels must be matching 2-D arrays")
+    train_x, train_y = _pairs("train_x", train_x, "train_y", train_y, model.n_bins)
     if train_x.shape[0] == 0:
         raise ParameterError("training set is empty")
-    n = train_x.shape[0]
+    if (val_x is None) != (val_y is None):
+        raise ParameterError("val_x and val_y must be given together")
+    if val_x is not None:
+        val_x, val_y = _pairs("val_x", val_x, "val_y", val_y, model.n_bins)
     has_val = val_x is not None and len(val_x) > 0
-    params = model.parameters()
-    adam = AdamState.for_model(model)
+    n, params = train_x.shape[0], model.parameters()
+    grads, m, v = (_param_views(model.layer_dims, np.zeros_like(model.flat)) for _ in range(3))
     shuffle_gen = RngHandle(cfg.seed, stream=1).generator()
     history: "list[float]" = []
     val_history: "list[tuple[int, float]]" = []
+    step = 0
     # A diverging run overflows in the arithmetic before its loss turns
     # non-finite; the loss check reports it, once, as TrainingDivergedError.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -289,12 +282,20 @@ def train(
                 batch_loss = loss_mse(out, yb)
                 if not np.isfinite(batch_loss):
                     raise TrainingDivergedError(epoch, bi)
-                adam.update(params, _backprop(model, out, pre, post, yb), cfg)
+                _backprop(model, out, pre, post, yb, grads)
+                step += 1
+                corr1, corr2 = 1.0 - ADAM_BETA1 ** step, 1.0 - ADAM_BETA2 ** step
+                for p, g, m_i, v_i in zip(params, grads, m, v):  # Adam, layer by layer
+                    m_i *= ADAM_BETA1
+                    m_i += (1.0 - ADAM_BETA1) * g
+                    v_i *= ADAM_BETA2
+                    v_i += (1.0 - ADAM_BETA2) * g * g
+                    p -= cfg.learning_rate * (m_i / corr1) / (np.sqrt(v_i / corr2) + ADAM_EPS)
                 epoch_loss += batch_loss * len(idx)
             history.append(epoch_loss / n)
             if has_val and (epoch % VAL_EVERY == 0 or epoch == cfg.epochs - 1):
-                val_out, _, _ = _forward_batch(model, np.asarray(val_x, dtype=np.float64))
-                val_history.append((epoch, loss_mse(val_out, np.asarray(val_y, dtype=np.float64))))
+                val_out, _, _ = _forward_batch(model, val_x)
+                val_history.append((epoch, loss_mse(val_out, val_y)))
     return TrainResult(model=model, train_loss=history, val_loss=val_history)
 
 
@@ -327,17 +328,11 @@ def predict_pdf_rows(model: AEModel, flux: np.ndarray, bin_width: float) -> np.n
 
 def save_model(model: AEModel, path: "str | Path") -> None:
     """Little-endian binary dump with a trailing CRC32 checksum."""
-    buf = bytearray()
-    buf += MODEL_MAGIC
-    buf += struct.pack("<I", len(model.layer_dims))
-    buf += struct.pack(f"<{len(model.layer_dims)}I", *model.layer_dims)
-    buf += struct.pack(f"<{len(model.activations)}B", *model.activations)
-    buf += struct.pack("<d", model.input_scale)
-    for w, b in zip(model.weights, model.biases):
-        buf += np.ascontiguousarray(w, dtype="<f8").tobytes()
-        buf += np.ascontiguousarray(b, dtype="<f8").tobytes()
-    buf += struct.pack("<I", zlib.crc32(bytes(buf)))
-    Path(path).write_bytes(bytes(buf))
+    n_dims = len(model.layer_dims)
+    head = struct.pack(f"<I{n_dims}I{n_dims - 1}Bd", n_dims, *model.layer_dims, *model.activations,
+                       model.input_scale)
+    body = MODEL_MAGIC + head + model.flat.astype("<f8", copy=False).tobytes()
+    Path(path).write_bytes(body + struct.pack("<I", zlib.crc32(body)))
 
 
 def load_model(path: "str | Path") -> AEModel:
@@ -347,32 +342,21 @@ def load_model(path: "str | Path") -> AEModel:
     stored_crc = struct.unpack_from("<I", raw, len(raw) - 4)[0]
     if zlib.crc32(raw[:-4]) != stored_crc:
         raise FormatError(f"{path}: checksum mismatch")
-    off = len(MODEL_MAGIC)
     try:
-        (n_dims,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        dims = list(struct.unpack_from(f"<{n_dims}I", raw, off))
-        off += 4 * n_dims
-        acts = list(struct.unpack_from(f"<{n_dims - 1}B", raw, off))
-        off += n_dims - 1
-        (input_scale,) = struct.unpack_from("<d", raw, off)
-        off += 8
+        (n_dims,) = struct.unpack_from("<I", raw, len(MODEL_MAGIC))
+        head = struct.Struct(f"<{n_dims}I{n_dims - 1}Bd")
+        fields = head.unpack_from(raw, len(MODEL_MAGIC) + 4)
     except struct.error as exc:
         raise FormatError(f"{path}: truncated or malformed model file") from exc
+    dims, acts, input_scale = list(fields[:n_dims]), list(fields[n_dims:-1]), fields[-1]
+    off = len(MODEL_MAGIC) + 4 + head.size
     if min(dims) < 1 or dims[0] != dims[-1]:
         raise FormatError(f"{path}: layer widths {dims} must be positive and end where they start")
     n_params = sum(out_dim * (in_dim + 1) for in_dim, out_dim in zip(dims, dims[1:]))
     if 8 * n_params != len(raw) - 4 - off:
         raise FormatError(f"{path}: layer widths {dims} do not match {len(raw) - 4 - off} parameter bytes")
-    weights, biases = [], []
-    for in_dim, out_dim in zip(dims, dims[1:]):
-        w = np.frombuffer(raw, dtype="<f8", count=out_dim * in_dim, offset=off)
-        off += 8 * out_dim * in_dim
-        b = np.frombuffer(raw, dtype="<f8", count=out_dim, offset=off)
-        off += 8 * out_dim
-        weights.append(w.reshape(out_dim, in_dim).astype(np.float64))
-        biases.append(b.astype(np.float64))
+    params = _param_views(dims, np.frombuffer(raw, dtype="<f8", count=n_params, offset=off))
     try:
-        return AEModel(dims, weights, biases, acts, input_scale=input_scale)
+        return AEModel(dims, params[0::2], params[1::2], acts, input_scale=input_scale)
     except ParameterError as exc:
         raise FormatError(f"{path}: {exc}") from exc

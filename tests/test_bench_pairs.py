@@ -10,12 +10,14 @@ import pytest
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
 
 
-def perfbench_stdout(rate, failed=0, digest="0" * 64):
+def perfbench_stdout(rate, failed=0, digest="0" * 64, setup_s=1.0):
     """What perfbench/run.py prints for one run: environment, passes and result lines, 3 operations."""
+    metrics = {"setup_s": {"unit": "s", "value": setup_s}, "items_per_s": {"unit": "1/s", "value": rate},
+               "peak_rss_mb": {"unit": "MB", "value": 50.0}}
     lines = [
         {"env": {k: k for k in ("nproc", "cpus_usable", "python", "numpy", "blas", "blas_threads", "commit")}},
         {"passes": {"item": "px", "output_sha256": digest}},
-        {"attempted": 3, "failed": failed, "metrics": {"items_per_s": {"unit": "1/s", "value": rate}}},
+        {"attempted": 3, "failed": failed, "metrics": metrics},
     ]
     return "\n".join(map(json.dumps, lines))
 
@@ -128,3 +130,61 @@ def test_output_digests_recorded_and_compared_pair_by_pair(tmp_path, monkeypatch
     assert record["before"]["output_sha256"] == ["s40", "s41", "s42"]
     assert record["after"]["output_sha256"] == after_digests
     assert record["same_output"] is same
+
+
+@pytest.mark.parametrize(
+    "name, better, before, after, worsening, within, unresolved",
+    [
+        pytest.param("setup_s", "lower", [10, 10, 10, 10], [11, 11, 11, 11], 0.1, True, False, id="lower-within"),
+        pytest.param("setup_s", "lower", [10, 10, 10, 10], [13, 13, 13, 13], 0.3, False, False, id="lower-beyond"),
+        pytest.param("items_per_s", "higher", [100, 100, 100, 100], [90, 90, 90, 90], 0.1, True, False,
+                     id="higher-within"),
+        pytest.param("items_per_s", "higher", [100, 100, 100, 100], [70, 70, 70, 70], 0.3, False, False,
+                     id="higher-beyond"),
+        pytest.param("items_per_s", "higher", [100, 100, 100, 100], [120, 120, 120, 120], -0.2, True, False,
+                     id="higher-improved"),
+        pytest.param("setup_s", "lower", [10, 20, 10, 20], [15, 15, 15, 15], 0.0, True, True, id="unresolved"),
+        pytest.param("setup_s", "lower", [10, 20, 10, 20], [5, 6, 5, 6], -0.6333, True, False,
+                     id="spread-but-every-after-run-wins"),
+    ],
+)
+def test_regression_check(tmp_path, monkeypatch, name, better, before, after, worsening, within, unresolved):
+    # Pair i's value of the one end-to-end metric is before[i] / after[i];
+    # with bound 0.25, a before side of 10, 20, 10, 20 spreads (20 - 10) / 15.
+    bench_pairs = load_bench_pairs()
+    benchmark = tmp_path / "BENCHMARK.json"
+    spec = {"name": name, "unit": "x", "better": better, "bound": 0.25}
+    benchmark.write_text(json.dumps({"end_to_end": [spec]}))
+    values = {"before": before, "after": after}
+
+    def fake_benchmark(cmd, cwd, **kwargs):
+        value = values[Path(cwd).name][int(cmd[cmd.index("--seed") + 1]) - 40]
+        stdout = perfbench_stdout(value, setup_s=value) if name == "setup_s" else perfbench_stdout(value)
+        return subprocess.CompletedProcess(cmd, 0, stdout=stdout)
+
+    monkeypatch.setattr(bench_pairs, "BENCHMARK", benchmark)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_benchmark)
+    out = tmp_path / "b.json"
+    bench_pairs.main(["--before", str(tmp_path / "before"), "--after", str(tmp_path / "after"),
+                      "--workload", "image_fast", "--pairs", "4", "--seed", "40", "--out", str(out)])
+    checks = json.loads(out.read_text())["regression_check"]
+    assert list(checks) == [name]
+    check = checks[name]
+    assert check["worsening"] == pytest.approx(worsening, abs=1e-4)
+    assert (check["better"], check["bound"], check["within_bound"], check["unresolved"]) == (
+        better, 0.25, within, unresolved)
+
+
+def test_regression_check_covers_every_end_to_end_metric(tmp_path, monkeypatch):
+    bench_pairs = load_bench_pairs()
+    def fake_benchmark(cmd, cwd, **kwargs):
+        return subprocess.CompletedProcess(cmd, 0, stdout=perfbench_stdout(10.0))
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_benchmark)
+    out = tmp_path / "b.json"
+    bench_pairs.main(["--before", str(tmp_path / "before"), "--after", str(tmp_path / "after"),
+                      "--workload", "image_fast", "--pairs", "2", "--out", str(out)])
+    end_to_end = json.loads(bench_pairs.BENCHMARK.read_text())["end_to_end"]
+    checks = json.loads(out.read_text())["regression_check"]
+    assert list(checks) == [spec["name"] for spec in end_to_end]
+    assert all(c["worsening"] == 0.0 and c["within_bound"] and not c["unresolved"] for c in checks.values())

@@ -1,5 +1,7 @@
+import struct
 import tracemalloc
 import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from splsim import (
 from splsim.pdf_net import (
     ACT_LEAKY_RELU,
     ACT_LINEAR,
+    MODEL_MAGIC,
     VAL_EVERY,
     AEModel,
     TrainConfig,
@@ -249,6 +252,28 @@ class TestTraining:
         assert len(result.train_loss) == 2
 
 
+    @pytest.mark.parametrize(
+        "shapes, bad",
+        [
+            pytest.param(((8, 8), (8, 8), None, None), "train_x", id="narrow-train-set"),
+            pytest.param(((8, 16), (8, 16), (4, 8), (4, 8)), "val_x", id="narrow-val-x"),
+            pytest.param(((8, 16), (8, 16), (4, 16), (4, 8)), "val_y", id="mismatched-val-y"),
+            pytest.param(((8, 16), (8, 16), (4, 16), None), "val_y", id="val-x-without-val-y"),
+        ],
+    )
+    def test_bad_arrays_rejected_before_any_update(self, shapes, bad):
+        # Each bad array must be named in a ParameterError raised before
+        # epoch 0 changes the caller's model.
+        model = toy_model(seed=1)
+        before = [p.copy() for p in model.parameters()]
+        gen = RngHandle(100).generator()
+        train_x, train_y, val_x, val_y = (None if s is None else gen.random(s) for s in shapes)
+        with pytest.raises(ParameterError, match=bad):
+            train(model, train_x, train_y, TrainConfig(batch_size=4, epochs=2, seed=0), val_x=val_x, val_y=val_y)
+        for p, b in zip(model.parameters(), before):
+            assert np.array_equal(p, b)
+
+
 class TestPredictPdf:
     def test_output_is_valid_pdf(self, trained_model, desk_grid, default_sys):
         from splsim import EnvParams, build_flux
@@ -360,6 +385,55 @@ class TestModelIO:
             tracemalloc.stop()
         # Bounded by the file, plus a fixed 64 KiB for raising the error.
         assert peak < 4 * path.stat().st_size + (1 << 16)
+
+
+class TestParameterVector:
+    def test_constructor_copies_caller_arrays(self):
+        w = np.arange(12, dtype=float).reshape(3, 4)
+        b = np.array([1.0, -1.0, 0.5])
+        model = AEModel([4, 3], weights=[w], biases=[b], activations=[ACT_LINEAR])
+        x = np.array([0.5, -2.0, 1.0, 3.0])
+        expected = w @ x + b
+        w[:] = 0.0
+        b[:] = 0.0
+        assert np.array_equal(forward(model, x), expected)
+        assert np.array_equal(model.flat, np.r_[np.arange(12.0), 1.0, -1.0, 0.5])
+
+    def test_parameters_are_views_of_flat(self):
+        # TOY_DIMS layer 1's weight starts after layer 0's 8x16 weight and 8 biases.
+        model = toy_model(seed=5)
+        x = RngHandle(101).generator().random(16)
+        out_before = forward(model, x)
+        flat_before = model.flat.copy()
+        model.parameters()[2][0, 0] += 1.0
+        assert model.flat[8 * 16 + 8] == flat_before[8 * 16 + 8] + 1.0
+        assert model.weights[1][0, 0] == model.flat[8 * 16 + 8]
+        assert np.count_nonzero(model.flat != flat_before) == 1
+        assert not np.array_equal(forward(model, x), out_before)
+
+    def test_loaded_model_trains(self, tmp_path):
+        path = tmp_path / "m.splae"
+        save_model(toy_model(seed=6), path)
+        model = load_model(path)
+        assert model.flat.flags.writeable and model.flat.flags.owndata
+        before = model.flat.copy()
+        gen = RngHandle(102).generator()
+        train(model, gen.random((8, 16)), gen.random((8, 16)), TrainConfig(batch_size=4, epochs=2, seed=0))
+        assert not np.array_equal(model.flat, before)
+
+    def test_file_layout(self, tmp_path):
+        # Built by hand: magic, width count, widths, activation ids, input
+        # scale, each layer's weight then bias as <f8, then the CRC32 of it all.
+        gen = RngHandle(103).generator()
+        weights = [gen.random((8, 16)), gen.random((16, 8))]
+        biases = [gen.random(8), gen.random(16)]
+        model = AEModel(TOY_DIMS, weights, biases, [ACT_LEAKY_RELU, ACT_LINEAR], input_scale=0.625)
+        body = MODEL_MAGIC + struct.pack("<I3I2Bd", 3, 16, 8, 16, ACT_LEAKY_RELU, ACT_LINEAR, 0.625)
+        for w, b in zip(weights, biases):
+            body += w.astype("<f8").tobytes() + b.astype("<f8").tobytes()
+        path = tmp_path / "m.splae"
+        save_model(model, path)
+        assert path.read_bytes() == body + struct.pack("<I", zlib.crc32(body))
 
 
 class TestDeskModel:
