@@ -251,7 +251,6 @@ class TestTraining:
         assert result.val_loss == []
         assert len(result.train_loss) == 2
 
-
     @pytest.mark.parametrize(
         "shapes, bad",
         [
@@ -428,7 +427,8 @@ class TestParameterVector:
         weights = [gen.random((8, 16)), gen.random((16, 8))]
         biases = [gen.random(8), gen.random(16)]
         model = AEModel(TOY_DIMS, weights, biases, [ACT_LEAKY_RELU, ACT_LINEAR], input_scale=0.625)
-        body = MODEL_MAGIC + struct.pack("<I3I2Bd", 3, 16, 8, 16, ACT_LEAKY_RELU, ACT_LINEAR, 0.625)
+        body = MODEL_MAGIC + struct.pack("<I", 3) + struct.pack("<3I", 16, 8, 16)
+        body += bytes([ACT_LEAKY_RELU, ACT_LINEAR]) + struct.pack("<d", 0.625)
         for w, b in zip(weights, biases):
             body += w.astype("<f8").tobytes() + b.astype("<f8").tobytes()
         path = tmp_path / "m.splae"
