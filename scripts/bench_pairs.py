@@ -2,8 +2,8 @@
 
 Runs ``perfbench/run.py`` (tracing off) in two checkouts, pair by pair,
 swapping which side goes first on every other pair, and writes each
-side's median and quartiles of every end-to-end metric and of each run's
-minor page faults, each run's ``output_sha256``, the environment both
+side's median and quartiles of every end-to-end metric, of each run's
+minor page faults and of its CPU seconds, each run's ``output_sha256``, the environment both
 sides reported (core count, numpy, BLAS, commit), ``same_output``: whether
 both sides of every pair printed the same digest, ``claim_check``: whether
 the after side's gain on ``items_per_s`` may be claimed, and
@@ -26,8 +26,10 @@ unless every after run beats every before run.
 
 Pair i uses seed ``--seed + i`` on both sides. Each checkout should be a
 git clone, so that its commit is recorded. A run's minor faults are the
-``RUSAGE_CHILDREN`` ``ru_minflt`` difference around it: the benchmark
-process and the interpreters it starts to time imports.
+``RUSAGE_CHILDREN`` ``ru_minflt`` difference around it, and its CPU seconds
+the ``ru_utime + ru_stime`` difference: the benchmark process and the
+interpreters it starts to time imports. CPU seconds above the wall time
+show work spread over more than one core.
 """
 
 from __future__ import annotations
@@ -44,22 +46,25 @@ from pathlib import Path
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
-def _child_minor_faults() -> int:
-    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+def _child_usage() -> "tuple[int, float]":
+    """Minor faults and CPU seconds (user + system) of every finished child so far."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_minflt, usage.ru_utime + usage.ru_stime
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark process; returns its environment and result lines, minor faults and output digest."""
-    faults = _child_minor_faults()
+    """One benchmark process; returns its environment and result lines, minor faults, CPU seconds and digest."""
+    faults, cpu_s = _child_usage()
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=True,
     )
-    faults = _child_minor_faults() - faults
+    faults_after, cpu_s_after = _child_usage()
     lines = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("{")]
     digest = next(line["passes"]["output_sha256"] for line in lines if "passes" in line)
-    return {"env": lines[0]["env"], "result": lines[-1], "minor_faults": faults, "output_sha256": digest}
+    return {"env": lines[0]["env"], "result": lines[-1], "minor_faults": faults_after - faults,
+            "cpu_s": cpu_s_after - cpu_s, "output_sha256": digest}
 
 
 def quartiles(values: "list[float]") -> dict:
@@ -79,6 +84,7 @@ def summarise(runs: "list[dict]") -> dict:
             for name, spec in metrics.items()
         },
         "minor_faults": quartiles([r["minor_faults"] for r in runs]),
+        "cpu_s": quartiles([r["cpu_s"] for r in runs]),
         "output_sha256": [r["output_sha256"] for r in runs],
     }
 

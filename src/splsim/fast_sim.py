@@ -8,12 +8,18 @@ flux, network, count model and photon placement cost one pass per block,
 and every pixel's random stream is keyed in one pass per image. Per pixel
 what remains is the count, multinomial and uniform draws from its own
 stream, O(m) and independent of the number of laser cycles.
+
+An oracle image runs one worker thread per usable CPU; the acquisitions'
+numpy steps release the GIL, so the workers overlap.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 import time
 import warnings
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -231,7 +237,7 @@ class ImageResult:
     depth_estimate: np.ndarray      # NaN where a pixel registered no photon
     out_of_range: np.ndarray        # environment outside the trained ranges (all False for the oracle)
     batches: "list[TimestampBatch]"  # row-major pixel order
-    mean_pixel_seconds: float       # the engine's wall time over the pixel count
+    mean_pixel_seconds: float       # the engine's wall time over the pixel count, every worker running
     total_seconds: float            # the engine plus the depth estimates
 
     @property
@@ -253,8 +259,9 @@ def simulate_image(
     the result does not depend on traversal order. The fast engine keys
     every pixel's stream at once (RngHandle.child_generators) and runs
     blocks of BLOCK_PIXELS pixels, and each of its pixels' timestamps come
-    grouped by bin, so their order carries no information; the oracle
-    runs pixel by pixel.
+    grouped by bin, so their order carries no information. The oracle's
+    worker k of W, one per usable CPU, keys and runs pixels k, k + W, ...;
+    an error or an interrupt stops every worker at its next pixel.
     """
     if engine not in ENGINES:
         raise ParameterError(f"unknown engine {engine!r}; expected one of {ENGINES}")
@@ -262,13 +269,27 @@ def simulate_image(
         raise ParameterError("the fast engine requires a trained model")
     h, w = scene.height, scene.width
     n_px = h * w
-    batches: "list[TimestampBatch]" = []
+    batches = [_EMPTY] * n_px  # row-major pixel order
     start_total = time.perf_counter()
     if engine == "oracle":
         out_of_range = np.zeros(n_px, dtype=bool)
-        for idx in range(n_px):
-            env = scene.env_at(*divmod(idx, w))
-            batches.append(simulate_registrations(sys, env, grid, rng.child(idx)).rel_times)
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        n_workers, stop = max(1, min(cpus, n_px)), threading.Event()
+
+        def run(pixels: range) -> None:
+            for idx, gen in zip(pixels, rng.child_generators(pixels)):
+                if stop.is_set():
+                    return
+                batches[idx] = simulate_registrations(sys, scene.env_at(*divmod(idx, w)), grid, gen).rel_times
+
+        with ThreadPoolExecutor(n_workers) as pool:
+            workers = [pool.submit(run, range(k, n_px, n_workers)) for k in range(n_workers)]
+            try:
+                wait(workers, return_when=FIRST_EXCEPTION)
+            finally:
+                stop.set()  # after an error or an interrupt, the others stop at their next pixel
+        for worker in workers:
+            worker.result()
     else:
         tau = scene.depths.ravel()
         s_level = (scene.reflectivity * scene.pulse_energy).ravel()
@@ -277,7 +298,7 @@ def simulate_image(
         streams = rng.child_generators(np.flatnonzero(s_level + b_level > 0))
         for start in range(0, n_px, BLOCK_PIXELS):
             block = slice(start, min(start + BLOCK_PIXELS, n_px))
-            batches += _simulate_block(
+            batches[block] = _simulate_block(
                 sys, grid, model, tau[block], s_level[block], b_level[block], streams, n_rows=BLOCK_PIXELS,
             )
     engine_seconds = time.perf_counter() - start_total

@@ -136,20 +136,24 @@ def _acquisitions(
 
 
 def _streams(rng: RngHandle, n_realizations: int) -> "Iterator[np.random.Generator]":
-    """One generator per realization, the i-th on the stream rng.child(i)."""
+    """One generator per realization, the i-th on the stream rng.child(i), all keyed in one pass.
+
+    It is one object, re-keyed per realization: _acquisitions finishes each before taking the next.
+    """
     if n_realizations < 1:
         raise ParameterError("need at least one realization")
-    return (rng.child(i).generator() for i in range(n_realizations))
+    return rng.child_generators(range(n_realizations))
 
 
 def simulate_registrations(
     sys: SystemParams,
     env: EnvParams,
     grid: TimeGrid,
-    rng: RngHandle,
+    rng: "RngHandle | np.random.Generator",
 ) -> RegistrationResult:
-    """Run the conventional simulator for one acquisition of N cycles."""
-    rel_reg, m_a = next(_acquisitions(sys, env, grid, [rng.generator()]))
+    """Run the conventional simulator for one acquisition of N cycles, on a stream address or a keyed generator."""
+    gen = rng if isinstance(rng, np.random.Generator) else rng.generator()
+    rel_reg, m_a = next(_acquisitions(sys, env, grid, [gen]))
     return RegistrationResult(TimestampBatch(rel_reg), m_a)
 
 
@@ -179,12 +183,8 @@ def empirical_pdf(
     density; each realization uses its own random stream and starts with a
     fresh (unblanked) detector.
     """
-    edges = grid.edges()
-    counts = np.zeros(grid.n_bins, dtype=np.float64)
-    total = 0
-    for rel_reg, _ in _acquisitions(sys, env, grid, _streams(rng, n_realizations)):
-        counts += np.histogram(rel_reg, bins=edges)[0]
-        total += rel_reg.size
-    if total == 0:
+    pooled = np.concatenate([rel for rel, _ in _acquisitions(sys, env, grid, _streams(rng, n_realizations))])
+    if pooled.size == 0:
         raise DegenerateDistributionError("no photons registered; cannot build an empirical PDF")
-    return DiscretizedFunction(grid, counts / (total * grid.bin_width))
+    counts, _ = np.histogram(pooled, bins=grid.edges())
+    return DiscretizedFunction(grid, counts / (pooled.size * grid.bin_width))

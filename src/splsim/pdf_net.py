@@ -143,12 +143,6 @@ def _activate(z: np.ndarray, kind: int) -> np.ndarray:
     return np.maximum(z, LEAKY_SLOPE * z)
 
 
-def _activate_grad(z: np.ndarray, kind: int) -> np.ndarray:
-    if kind == ACT_LINEAR:
-        return np.ones_like(z)
-    return np.where(z > 0, 1.0, LEAKY_SLOPE)
-
-
 def _forward_batch(model: AEModel, x: np.ndarray) -> "tuple[np.ndarray, list, list]":
     """Batch forward pass; returns output plus cached pre/post activations."""
     h = x
@@ -195,7 +189,8 @@ def _backprop(model: AEModel, out: np.ndarray, pre: list, post: list, label: np.
     """Backward sweep over a cached forward pass into grads, views laid out as parameters(); returns grads."""
     delta = 2.0 * (out - label) / out.size
     for i in reversed(range(len(model.weights))):
-        delta = delta * _activate_grad(pre[i], model.activations[i])
+        if model.activations[i] == ACT_LEAKY_RELU:
+            delta *= (pre[i] > 0) * (1 - LEAKY_SLOPE) + LEAKY_SLOPE  # exactly 1.0 or LEAKY_SLOPE
         delta.sum(axis=0, out=grads[2 * i + 1])
         np.matmul(delta.T, post[i], out=grads[2 * i])
         if i:

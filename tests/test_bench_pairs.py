@@ -54,7 +54,7 @@ def test_minor_faults_recorded_per_run(tmp_path, monkeypatch):
 
     def fake_getrusage(who):
         assert who == resource.RUSAGE_CHILDREN
-        return SimpleNamespace(ru_minflt=children_faults[0])
+        return SimpleNamespace(ru_minflt=children_faults[0], ru_utime=0.0, ru_stime=0.0)
 
     def fake_benchmark(cmd, cwd, **kwargs):
         calls.append((Path(cwd).name, cmd[cmd.index("--seed") + 1]))
@@ -75,6 +75,37 @@ def test_minor_faults_recorded_per_run(tmp_path, monkeypatch):
     assert record["before"]["minor_faults"] == {"q1": 1002.5, "median": 1004, "q3": 1004.5,
                                                 "runs": [1001, 1004, 1005]}
     assert record["after"]["minor_faults"]["runs"] == [1002, 1003, 1006]
+
+
+def test_cpu_seconds_recorded_per_run(tmp_path, monkeypatch):
+    # The stand-in benchmark run k adds k user and k / 4 system seconds to
+    # the children's CPU time, so each run must read back 1.25 k seconds.
+    bench_pairs = load_bench_pairs()
+    calls = []
+    children_cpu = {"ru_utime": 0.0, "ru_stime": 0.0}
+
+    def fake_getrusage(who):
+        assert who == resource.RUSAGE_CHILDREN
+        return SimpleNamespace(ru_minflt=0, **children_cpu)
+
+    def fake_benchmark(cmd, cwd, **kwargs):
+        calls.append(Path(cwd).name)
+        children_cpu["ru_utime"] += len(calls)
+        children_cpu["ru_stime"] += len(calls) / 4
+        rate = 10.0 if Path(cwd).name == "before" else 12.0
+        return subprocess.CompletedProcess(cmd, 0, stdout=perfbench_stdout(rate))
+
+    monkeypatch.setattr(bench_pairs.resource, "getrusage", fake_getrusage)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_benchmark)
+    out = tmp_path / "b.json"
+    assert bench_pairs.main(["--before", str(tmp_path / "before"), "--after", str(tmp_path / "after"),
+                             "--workload", "image_oracle", "--pairs", "3", "--seed", "40",
+                             "--seconds", "1", "--out", str(out)]) == 0
+    assert calls == ["before", "after", "after", "before", "before", "after"]
+    record = json.loads(out.read_text())
+    assert record["before"]["cpu_s"] == {"q1": 3.125, "median": 5.0, "q3": 5.625, "runs": [1.25, 5.0, 6.25]}
+    assert record["after"]["cpu_s"]["runs"] == [2.5, 3.75, 7.5]
+    assert record["before"]["minor_faults"]["runs"] == [0, 0, 0]
 
 
 @pytest.mark.parametrize(

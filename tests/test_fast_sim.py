@@ -1,6 +1,12 @@
+import os
+import sys
+import time
+
 import numpy as np
 import pytest
 from scipy import stats
+
+import splsim.fast_sim
 
 from splsim import (
     EnvParams,
@@ -320,6 +326,63 @@ class TestSimulateImage:
             result = simulate_image(scene, default_sys, desk_grid, "fast", RngHandle(15), model=trained_model)
         assert sum("outside the trained" in str(w.message) for w in caught) == 1
         assert np.array_equal(result.out_of_range, refl == 10.0)
+
+    @pytest.mark.parametrize("cpus", [1, 7])
+    def test_oracle_image_matches_per_pixel_reference(self, desk_grid, monkeypatch, cpus):
+        # An odd pixel count, so the workers' shares differ; one zero-energy
+        # pixel. Seven workers on fewer cores, switching threads every
+        # microsecond, must still leave every pixel at its own index.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        sys_p = SystemParams(n_cycles=10_000)
+        width, height = 5, 3
+        refl = np.random.default_rng(4).uniform(0.25, 1.5, size=(height, width))
+        refl[1, 3] = 0.0
+        scene = SceneSpec(
+            depths=ramp_scene(width, height, tau_range=(2.5, 5.5)).depths,
+            reflectivity=refl,
+            b_level=0.0,
+            pulse_energy=2.0,
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            result = simulate_image(scene, sys_p, desk_grid, "oracle", RngHandle(17))
+        finally:
+            sys.setswitchinterval(interval)
+        assert result.batches[width + 3].count == 0
+        for idx, batch in enumerate(result.batches):
+            env = scene.env_at(*divmod(idx, width))
+            reference = simulate_registrations(sys_p, env, desk_grid, RngHandle(17).child(idx)).rel_times
+            assert np.array_equal(batch.times, reference.times)
+
+    def test_oracle_pixel_error_propagates_and_stops_the_others(self, default_sys, desk_grid, monkeypatch):
+        # Pixel 0 fails at once; every other pixel takes 10 ms, so workers
+        # that kept going after the failure would run all 40 of them.
+        boom = RuntimeError("pixel 0 failed")
+        calls = []
+
+        def acquisition(sys_p, env, grid, gen):
+            calls.append(env.tau)
+            if env.tau == 0.5:
+                raise boom
+            time.sleep(0.01)
+            return simulate_registrations(sys_p, env, grid, gen)
+
+        monkeypatch.setattr(splsim.fast_sim, "simulate_registrations", acquisition)
+        depths = np.full((1, 41), 4.0)
+        depths[0, 0] = 0.5
+        scene = SceneSpec(depths=depths, reflectivity=0.0, b_level=1.0, pulse_energy=2.0)
+        with pytest.raises(RuntimeError) as info:
+            simulate_image(scene, default_sys, desk_grid, "oracle", RngHandle(18))
+        assert info.value is boom
+        assert 1 <= len(calls) <= 10
+
+    def test_oracle_worker_warning_reaches_caller(self, default_sys, desk_grid):
+        # tau = 0 puts half the pulse before the period starts.
+        scene = SceneSpec(depths=np.array([[4.0, 0.0, 4.0]]), reflectivity=1.0, b_level=1.0, pulse_energy=2.0)
+        with pytest.warns(UserWarning, match="not fully contained"):
+            simulate_image(scene, default_sys, desk_grid, "oracle", RngHandle(19))
 
     def test_depth_csv(self, tmp_path):
         depth = np.array([[1.0, 2.0], [3.0, np.nan]])
