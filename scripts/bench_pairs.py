@@ -3,12 +3,12 @@
 Runs ``perfbench/run.py`` (tracing off) in two checkouts, pair by pair,
 swapping which side goes first on every other pair, and writes each
 side's median and quartiles of every end-to-end metric, of each run's
-minor page faults and of its CPU seconds, each run's ``output_sha256``, the environment both
-sides reported (core count, numpy, BLAS, commit), ``same_output``: whether
-both sides of every pair printed the same digest, ``claim_check``: whether
-the after side's gain on ``items_per_s`` may be claimed, and
-``regression_check``: whether each end-to-end metric of ``BENCHMARK.json``
-stayed within its bound.
+minor page faults and of its CPU seconds, each run's ``output_sha256``,
+the environment both sides reported (core count, numpy, BLAS, commit),
+``same_output``: whether both sides of every pair printed the same
+digest, ``claim_check``: whether the after side's gain on ``items_per_s``
+may be claimed, and ``regression_check``: whether each end-to-end metric
+of ``BENCHMARK.json`` stayed within its bound.
 
     python3 scripts/bench_pairs.py --before ../parent --after . --workload image_fast \\
         --pairs 10 --seed 101 --seconds 30 --out BENCH_batched_image.json

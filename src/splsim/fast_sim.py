@@ -269,7 +269,7 @@ def simulate_image(
         raise ParameterError("the fast engine requires a trained model")
     h, w = scene.height, scene.width
     n_px = h * w
-    batches = [_EMPTY] * n_px  # row-major pixel order
+    batches = [_EMPTY] * n_px
     start_total = time.perf_counter()
     if engine == "oracle":
         out_of_range = np.zeros(n_px, dtype=bool)
