@@ -8,9 +8,11 @@ step. A simulator takes a stream address (`RngHandle`) and builds its
 generator once; a draw takes that `numpy.random.Generator`. So a seed and
 a stream fix every simulation exactly.
 
-`RngHandle.generator` defines a stream. `RngHandle.child_generators` keys
-many child streams at once, bit-identical to `child(i).generator()`, and
-`place_in_bins` places the bin-count draws of many rows in one pass.
+`RngHandle.generator` defines a stream. `RngHandle.child_generators`
+computes the seed words of many child streams in one pass and yields each
+child its own generator, bit-identical to `child(i).generator()`; numpy
+seeds each PCG64 from those words. `place_in_bins` places the bin-count
+draws of many rows in one pass.
 """
 
 from __future__ import annotations
@@ -38,15 +40,12 @@ from .core import (
 _MIX = 0x9E3779B97F4A7C15  # 64-bit golden-ratio multiplier for stream derivation
 _MASK63 = (1 << 63) - 1
 
-# numpy's SeedSequence hash over a pool of four uint32 words, and PCG64's
-# seeding step, as numpy defines them (bit_generator.pyx, pcg64.h).
+# numpy's SeedSequence hash over a pool of four uint32 words (bit_generator.pyx).
 _MASK32 = (1 << 32) - 1
-_MASK128 = (1 << 128) - 1
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _hash_word(word, hash_const: int, mult: int):
@@ -74,29 +73,14 @@ def _mix_in(pool: list, word, hash_const: int) -> "tuple[list, int]":
 def _pcg64_seeds(seed: int, spawn_ids: np.ndarray) -> np.ndarray:
     """The four uint64 words SeedSequence(seed, spawn_key=(id,)) hands PCG64, for each id (n x 4).
 
-    The seed's run entropy, padded to the pool size, is mixed into the pool
-    once, in Python integers; then each id's spawn words (one below 2**32,
-    two from it) are mixed in, in one uint32 pass over all ids.
+    numpy mixes the seed's w run-entropy words into the pool, taking
+    16 + 4 * max(0, w - 4) hash constants; then each id's spawn words (one
+    below 2**32, two from it) are mixed in, in one uint32 pass over all ids.
     """
-    entropy = []
-    while True:
-        entropy.append(seed & _MASK32)
-        seed >>= 32
-        if not seed:
-            break
-    entropy += [0] * (_POOL_SIZE - len(entropy))
-    hash_const = _INIT_A
-    pool = []
-    for word in entropy[:_POOL_SIZE]:
-        hashed, hash_const = _hash_word(word, hash_const, _MULT_A)
-        pool.append(hashed)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                hashed, hash_const = _hash_word(pool[src], hash_const, _MULT_A)
-                pool[dst] = _mix_words(pool[dst], hashed)
-    for word in entropy[_POOL_SIZE:]:
-        pool, hash_const = _mix_in(pool, word, hash_const)
+    seed = int(seed)
+    pool = np.random.SeedSequence(seed).pool.tolist()
+    words = max(1, -(-seed.bit_length() // 32))
+    hash_const = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, words - _POOL_SIZE), 1 << 32) & _MASK32
     low = (spawn_ids & _MASK32).astype(np.uint32)
     high = (spawn_ids >> 32).astype(np.uint32)
     pool, hash_const = _mix_in(pool, low, hash_const)
@@ -114,17 +98,14 @@ def _child_stream(stream: int, index):
     return (((stream + 1) * _MIX & _MASK63) + index) & _MASK63
 
 
-def _rekeyed(bit_gen: np.random.PCG64, seeds: np.ndarray) -> "Iterator[np.random.Generator]":
-    """One generator over bit_gen, set to PCG64's seeding from each row of seeds in turn."""
-    gen = np.random.Generator(bit_gen)
-    for seed_hi, seed_lo, inc_hi, inc_lo in seeds.tolist():
-        # PCG64 seeding: state = ((inc + seed) * multiplier + inc) mod 2**128.
-        inc = (inc_hi << 65 | inc_lo << 1 | 1) & _MASK128
-        state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULT + inc) & _MASK128
-        bit_gen.state = {
-            "bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0,
-        }
-        yield gen
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """A seed sequence that hands PCG64 its four precomputed seed words."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
 
 
 @dataclass(frozen=True)
@@ -149,17 +130,16 @@ class RngHandle:
         return RngHandle(self.seed, _child_stream(self.stream, index))
 
     def child_generators(self, indices) -> "Iterator[np.random.Generator]":
-        """For each index i, a generator that draws exactly what child(i).generator() draws.
+        """For each index i, its own generator, drawing exactly what child(i).generator() draws.
 
-        All the children are keyed here, in one vectorized pass. The
-        generator yielded is one object, re-keyed for each index, so finish
-        drawing from it before advancing.
+        All the children's seed words are computed here, in one vectorized
+        pass; each generator is built only when the iterator reaches it.
         """
         indices = np.asarray(indices, dtype=np.int64)
         if (indices < 0).any():
             raise ParameterError("stream index must be non-negative")
-        ids = _child_stream(self.stream, indices.astype(np.uint64))
-        return _rekeyed(np.random.PCG64(), _pcg64_seeds(self.seed, ids))
+        seeds = _pcg64_seeds(self.seed, _child_stream(self.stream, indices.astype(np.uint64)))
+        return (np.random.Generator(np.random.PCG64(_SeedWords(words))) for words in seeds)
 
 
 @dataclass(frozen=True)

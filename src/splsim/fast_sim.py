@@ -260,8 +260,9 @@ def simulate_image(
     every pixel's stream at once (RngHandle.child_generators) and runs
     blocks of BLOCK_PIXELS pixels, and each of its pixels' timestamps come
     grouped by bin, so their order carries no information. The oracle's
-    worker k of W, one per usable CPU, keys and runs pixels k, k + W, ...;
-    an error or an interrupt stops every worker at its next pixel.
+    worker k of W, one per usable CPU, runs pixels k, k + W, ..., each on
+    its stream address rng.child(idx); an error or an interrupt stops every
+    worker at its next pixel.
     """
     if engine not in ENGINES:
         raise ParameterError(f"unknown engine {engine!r}; expected one of {ENGINES}")
@@ -277,10 +278,11 @@ def simulate_image(
         n_workers, stop = max(1, min(cpus, n_px)), threading.Event()
 
         def run(pixels: range) -> None:
-            for idx, gen in zip(pixels, rng.child_generators(pixels)):
+            for idx in pixels:
                 if stop.is_set():
                     return
-                batches[idx] = simulate_registrations(sys, scene.env_at(*divmod(idx, w)), grid, gen).rel_times
+                env = scene.env_at(*divmod(idx, w))
+                batches[idx] = simulate_registrations(sys, env, grid, rng.child(idx)).rel_times
 
         with ThreadPoolExecutor(n_workers) as pool:
             workers = [pool.submit(run, range(k, n_px, n_workers)) for k in range(n_workers)]

@@ -49,9 +49,8 @@ class RegistrationResult:
         return self.rel_times.count
 
 
-# Timed on oracle acquisitions: the lockstep pays on long ones cut into many segments, while many are active.
+# Timed on oracle acquisitions: the lockstep pays on long ones, while many segments are active.
 LOCKSTEP_ARRIVALS = 8192
-LOCKSTEP_SEGMENTS = 256
 TAIL_SEGMENTS = 16
 
 
@@ -82,7 +81,7 @@ def cull_dead_time(abs_times: np.ndarray, t_d: float) -> np.ndarray:
     if t_d == 0 or a.size == 0:
         return a.copy()
     registered = array("d")
-    if a.size < LOCKSTEP_ARRIVALS or np.count_nonzero(gaps >= t_d) < LOCKSTEP_SEGMENTS:
+    if a.size < LOCKSTEP_ARRIVALS:
         _scan(memoryview(a), t_d, registered)
         return np.frombuffer(registered, dtype=np.float64)
     keep = np.concatenate(([True], gaps >= t_d))
@@ -136,10 +135,7 @@ def _acquisitions(
 
 
 def _streams(rng: RngHandle, n_realizations: int) -> "Iterator[np.random.Generator]":
-    """One generator per realization, the i-th on the stream rng.child(i), all keyed in one pass.
-
-    It is one object, re-keyed per realization: _acquisitions finishes each before taking the next.
-    """
+    """One generator per realization, the i-th on the stream rng.child(i), all keyed in one pass."""
     if n_realizations < 1:
         raise ParameterError("need at least one realization")
     return rng.child_generators(range(n_realizations))
@@ -149,11 +145,10 @@ def simulate_registrations(
     sys: SystemParams,
     env: EnvParams,
     grid: TimeGrid,
-    rng: "RngHandle | np.random.Generator",
+    rng: RngHandle,
 ) -> RegistrationResult:
-    """Run the conventional simulator for one acquisition of N cycles, on a stream address or a keyed generator."""
-    gen = rng if isinstance(rng, np.random.Generator) else rng.generator()
-    rel_reg, m_a = next(_acquisitions(sys, env, grid, [gen]))
+    """Run the conventional simulator for one acquisition of N cycles."""
+    rel_reg, m_a = next(_acquisitions(sys, env, grid, [rng.generator()]))
     return RegistrationResult(TimestampBatch(rel_reg), m_a)
 
 

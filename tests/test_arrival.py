@@ -59,8 +59,9 @@ class TestRngHandle:
         with pytest.raises(ParameterError):
             RngHandle(-1)
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("stream", [0, 5, ONE_WORD_STREAM])
-    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 7])
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 7, np.uint64(2**63 + 5)])
     def test_child_generators_draw_as_child_generator(self, seed, stream):
         base = RngHandle(seed, stream)
         indices = [0, 1, 63, 2**32 - 3, 2**32 - 2, 2**32, 10**12]
@@ -77,6 +78,14 @@ class TestRngHandle:
             assert np.array_equal(gen.multinomial(500, mass), ref.multinomial(500, mass))
             assert np.array_equal(gen.random(7), ref.random(7))
         assert next(keyed, None) is None
+
+    def test_child_generators_are_independent_objects(self):
+        # Each child has its own generator: taking the next one leaves an earlier one's stream alone.
+        base = RngHandle(11, 2)
+        keyed = base.child_generators([0, 1])
+        first, second = next(keyed), next(keyed)
+        assert np.array_equal(second.random(5), base.child(1).generator().random(5))
+        assert np.array_equal(first.random(5), base.child(0).generator().random(5))
 
     def test_child_generators_reject_negative_index(self):
         with pytest.raises(ParameterError):

@@ -186,7 +186,7 @@ def segmented_arrivals(draw):
 def forced_lockstep():
     """Run the cull's lockstep on any input, down to the last segment."""
     with pytest.MonkeyPatch.context() as patch:
-        for name in ("LOCKSTEP_ARRIVALS", "LOCKSTEP_SEGMENTS", "TAIL_SEGMENTS"):
+        for name in ("LOCKSTEP_ARRIVALS", "TAIL_SEGMENTS"):
             patch.setattr(oracle, name, 0)
         yield
 
@@ -234,7 +234,7 @@ class TestCullLockstep:
         assert (times[-1] - times[0] >= t_d) != (times[-1] >= times[0] + t_d)
         big = embedded(np.array(times), t_d)
         assert big.size >= oracle.LOCKSTEP_ARRIVALS
-        assert np.count_nonzero(big[1:] - big[:-1] >= t_d) > oracle.LOCKSTEP_SEGMENTS > oracle.TAIL_SEGMENTS
+        assert np.count_nonzero(big[1:] - big[:-1] >= t_d) > oracle.TAIL_SEGMENTS
         out = cull_dead_time(big, t_d)
         assert_same_bits(out, reference_cull(big, t_d))
         assert_same_bits(out[(out >= times[0]) & (out <= times[-1])], np.array(kept))
