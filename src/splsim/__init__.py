@@ -40,7 +40,6 @@ from .pdf_net import (
     AEModel,
     TrainConfig,
     build_model,
-    forward,
     load_model,
     predict_pdf,
     save_model,
@@ -77,7 +76,6 @@ __all__ = [
     "estimate_depth",
     "expected_loss",
     "fast_simulate",
-    "forward",
     "generate_dataset",
     "load_model",
     "predict_pdf",

@@ -1,11 +1,13 @@
 """Training-pair generation and the versioned binary dataset format.
 
-Each sample pairs a discretized flux vector (scaled to network input
-magnitude) with the averaged empirical registration histogram produced by
-the conventional simulator. A dataset holds its samples as column arrays.
-Files carry a magic tag, the full generating configuration, one packed
-record per sample, and a trailing CRC32 so a dataset can be regenerated
-bit-exactly from its own header.
+Each sample is an environment drawn from the configured ranges and its
+label: the averaged empirical registration histogram produced by the
+conventional simulator. A dataset stores only these draws, as column
+arrays; a sample's flux and its train/test split are functions of its
+environment and index, derived when read. Files carry a magic tag, the
+full generating configuration, one (tau, S, B, label) record per sample,
+and a trailing CRC32 so a dataset can be regenerated bit-exactly from its
+own header.
 """
 
 from __future__ import annotations
@@ -27,13 +29,13 @@ from .core import (
     ParameterError,
     SystemParams,
     TimeGrid,
-    build_flux,
+    flux_rows,
 )
 from .oracle import empirical_pdf
 
 log = logging.getLogger(__name__)
 
-DATASET_MAGIC = b"SPLDS1"
+DATASET_MAGIC = b"SPLDS2"
 TEST_FRACTION_DENOM = 5  # 4:1 train/test split
 MIN_ENERGY = 0.01        # resample environments below this per-cycle energy
 
@@ -76,11 +78,9 @@ def make_pair(
     grid: TimeGrid,
     n_realizations: int,
     rng: RngHandle,
-) -> "tuple[np.ndarray, np.ndarray]":
-    """One (scaled flux vector, empirical registration PDF) training pair."""
-    flux = build_flux(sys, env, grid)
-    label = empirical_pdf(sys, env, grid, n_realizations, rng)
-    return flux.values * grid.bin_width, label.values.copy()
+) -> np.ndarray:
+    """The label of one training pair: the empirical registration PDF of env."""
+    return empirical_pdf(sys, env, grid, n_realizations, rng).values
 
 
 def split_tag(seed: int, index: int) -> str:
@@ -107,26 +107,45 @@ class DatasetHeader:
 class Dataset:
     """Samples as columns: row i of each array is sample i.
 
-    env is P x 3 (tau, S, B), flux and label are P x K, is_test is the
-    P-long split mask.
+    env is P x 3 (tau, S, B) and label is P x K. The flux rows (P x K, the
+    raw flux of each environment) and the P-long split mask are derived
+    from them on each access.
     """
 
     header: DatasetHeader
     env: np.ndarray
-    flux: np.ndarray
     label: np.ndarray
-    is_test: np.ndarray
+
+    def __post_init__(self):
+        h = self.header
+        for name, shape in (("env", (h.n_samples, 3)), ("label", (h.n_samples, h.n_bins))):
+            found = np.shape(getattr(self, name))
+            if found != shape:
+                raise ParameterError(f"{name} has shape {found}; the header implies {shape}")
 
     @property
     def grid(self) -> TimeGrid:
         return self.header.grid
+
+    @property
+    def flux(self) -> np.ndarray:
+        return self._flux(slice(None))
+
+    @property
+    def is_test(self) -> np.ndarray:
+        h = self.header
+        return np.array([split_tag(h.seed, i) == "test" for i in range(h.n_samples)], dtype=bool)
+
+    def _flux(self, rows) -> np.ndarray:
+        tau, s_level, b_level = self.env[rows].T
+        return flux_rows(self.header.sys, tau, s_level, b_level, self.grid)
 
     def arrays(self, split: str) -> "tuple[np.ndarray, np.ndarray]":
         """(flux, label) rows of the "train" or "test" split."""
         if split not in ("train", "test"):
             raise ParameterError(f"unknown split {split!r}; expected 'train' or 'test'")
         rows = self.is_test if split == "test" else ~self.is_test
-        return self.flux[rows], self.label[rows]
+        return self._flux(rows), self.label[rows]
 
 
 def generate_dataset(
@@ -147,7 +166,6 @@ def generate_dataset(
     env_gen = RngHandle(seed, stream=0).generator()
     base = RngHandle(seed, stream=1)
     env_rows = np.empty((n_samples, 3))
-    flux = np.empty((n_samples, grid.n_bins))
     label = np.empty((n_samples, grid.n_bins))
     attempt = 0
     for i in range(n_samples):
@@ -158,7 +176,7 @@ def generate_dataset(
                 log.info("resampling near-degenerate environment %s", env)
                 continue
             try:
-                flux[i], label[i] = make_pair(sys, env, grid, n_realizations, base.child(attempt))
+                label[i] = make_pair(sys, env, grid, n_realizations, base.child(attempt))
             except DegenerateDistributionError:
                 log.info("resampling environment with zero registrations %s", env)
                 continue
@@ -172,8 +190,7 @@ def generate_dataset(
         n_realizations=n_realizations,
         n_samples=n_samples,
     )
-    is_test = np.array([split_tag(seed, i) == "test" for i in range(n_samples)])
-    return Dataset(header=header, env=env_rows, flux=flux, label=label, is_test=is_test)
+    return Dataset(header=header, env=env_rows, label=label)
 
 
 # t_r, t_d, sigma_t, n_cycles, n_bins, seed, n_realizations,
@@ -181,20 +198,10 @@ def generate_dataset(
 _HEADER = struct.Struct("<dddIIQIddddddI")
 
 
-def _record_dtype(n_bins: int) -> np.dtype:
-    """One packed sample record: tau, S, B, split flag (1 = test), flux, label."""
-    return np.dtype(
-        [("env", "<f8", (3,)), ("test", "u1"), ("flux", "<f8", (n_bins,)), ("label", "<f8", (n_bins,))]
-    )
-
-
 def write_dataset(ds: Dataset, path: "str | Path") -> None:
+    """Header, then one record of 3 + K little-endian doubles per sample: tau, S, B, label."""
     h = ds.header
-    records = np.empty(h.n_samples, dtype=_record_dtype(h.n_bins))
-    records["env"] = ds.env
-    records["test"] = ds.is_test
-    records["flux"] = ds.flux
-    records["label"] = ds.label
+    records = np.concatenate([ds.env, ds.label], axis=1).astype("<f8", copy=False)
     head = DATASET_MAGIC + _HEADER.pack(
         h.sys.t_r,
         h.sys.t_d,
@@ -245,22 +252,13 @@ def read_dataset(path: "str | Path") -> Dataset:
     if zlib.crc32(memoryview(raw)[:-4]) != stored_crc:
         raise FormatError(f"{path}: checksum mismatch")
     header = _parse_header(raw, path)
-    body = len(raw) - start - 4
-    # Every sample holds 2K doubles; checking that bounds K before it sizes a dtype.
-    if 16 * header.n_bins > body:
-        raise FormatError(f"{path}: no room for one {header.n_bins}-bin sample")
-    dtype = _record_dtype(header.n_bins)
-    expected = start + header.n_samples * dtype.itemsize + 4
-    if len(raw) != expected:
-        raise FormatError(f"{path}: expected {expected} bytes, found {len(raw)}")
-    records = np.frombuffer(raw, dtype=dtype, count=header.n_samples, offset=start)
-    env = records["env"].astype(np.float64)
-    if not np.all((env >= 0) & (env < np.inf)):
-        raise FormatError(f"{path}: negative or non-finite environment parameter")
-    return Dataset(
-        header=header,
-        env=env,
-        flux=records["flux"].astype(np.float64),
-        label=records["label"].astype(np.float64),
-        is_test=records["test"].astype(bool),
-    )
+    width = 3 + header.n_bins
+    expected = start + 8 * width * header.n_samples + 4
+    if header.n_samples < 1 or len(raw) != expected:
+        raise FormatError(f"{path}: expected {expected} bytes for {header.n_samples} samples, found {len(raw)}")
+    records = np.frombuffer(raw, dtype="<f8", count=width * header.n_samples, offset=start)
+    records = records.reshape(header.n_samples, width)
+    if not np.all((records >= 0) & (records < np.inf)):
+        raise FormatError(f"{path}: negative or non-finite environment parameter or label")
+    env, label = records[:, :3], records[:, 3:]
+    return Dataset(header=header, env=env.astype(np.float64), label=label.astype(np.float64))

@@ -155,15 +155,6 @@ def _forward_batch(model: AEModel, x: np.ndarray) -> "tuple[np.ndarray, list, li
     return h, pre, post
 
 
-def forward(model: AEModel, flux_vec: np.ndarray) -> np.ndarray:
-    """Raw network output for one (already scaled) input vector."""
-    x = np.asarray(flux_vec, dtype=np.float64)
-    if x.shape != (model.n_bins,):
-        raise ParameterError(f"expected input of shape ({model.n_bins},), got {x.shape}")
-    out, _, _ = _forward_batch(model, x[None, :])
-    return out[0]
-
-
 def loss_mse(pred: np.ndarray, label: np.ndarray) -> float:
     pred = np.asarray(pred, dtype=np.float64)
     label = np.asarray(label, dtype=np.float64)
@@ -245,10 +236,12 @@ def train(
     val_x: "np.ndarray | None" = None,
     val_y: "np.ndarray | None" = None,
 ) -> TrainResult:
-    """Mini-batch Adam training on (scaled flux, label PDF) pairs.
+    """Mini-batch Adam training on (flux, label PDF) pairs.
 
-    Every array is checked before the first update. A validation set with
-    no rows counts as none.
+    train_x and val_x hold raw flux rows; like predict_pdf_rows, training
+    multiplies them by model.input_scale before the first layer. Every
+    array is checked before the first update. A validation set with no
+    rows counts as none.
     """
     train_x, train_y = _pairs("train_x", train_x, "train_y", train_y, model.n_bins)
     if train_x.shape[0] == 0:
@@ -273,6 +266,7 @@ def train(
             for bi, start in enumerate(range(0, n, cfg.batch_size)):
                 idx = order[start : start + cfg.batch_size]
                 xb, yb = train_x[idx], train_y[idx]
+                xb *= model.input_scale
                 out, pre, post = _forward_batch(model, xb)
                 batch_loss = loss_mse(out, yb)
                 if not np.isfinite(batch_loss):
@@ -289,7 +283,7 @@ def train(
                 epoch_loss += batch_loss * len(idx)
             history.append(epoch_loss / n)
             if has_val and (epoch % VAL_EVERY == 0 or epoch == cfg.epochs - 1):
-                val_out, _, _ = _forward_batch(model, val_x)
+                val_out, _, _ = _forward_batch(model, val_x * model.input_scale)
                 val_history.append((epoch, loss_mse(val_out, val_y)))
     return TrainResult(model=model, train_loss=history, val_loss=val_history)
 

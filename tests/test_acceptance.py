@@ -28,7 +28,7 @@ from splsim import (
 from splsim.bench import run_benchmark
 from splsim.fast_sim import SceneSpec, estimate_depth
 from splsim.oracle import cull_dead_time, registration_counts
-from splsim.pdf_net import backward, build_model, forward, loss_mse
+from splsim.pdf_net import _forward_batch, backward, build_model, loss_mse
 
 from conftest import DESK_EPOCHS
 
@@ -138,9 +138,9 @@ class TestAcceptance:
             j = int(probe_gen.integers(p.size))
             orig = p[j]
             p[j] = orig + h
-            up = loss_mse(forward(model, x), label)
+            up = loss_mse(_forward_batch(model, x[None, :])[0], label[None, :])
             p[j] = orig - h
-            down = loss_mse(forward(model, x), label)
+            down = loss_mse(_forward_batch(model, x[None, :])[0], label[None, :])
             p[j] = orig
             fd = (up - down) / (2 * h)
             rel = abs(g[j] - fd) / max(abs(fd), abs(g[j]), 1e-8)
@@ -154,7 +154,7 @@ class TestAcceptance:
         dx = desk_grid.bin_width
         sq_errs, ks_stats = [], []
         for xi, yi in zip(test_x, test_y):
-            flux = DiscretizedFunction(desk_grid, xi / trained_model.input_scale)
+            flux = DiscretizedFunction(desk_grid, xi)
             pred = predict_pdf(trained_model, flux).values
             sq_errs.append(np.mean((pred - yi) ** 2))
             ks_stats.append(np.max(np.abs(np.cumsum(pred - yi) * dx)))

@@ -13,12 +13,14 @@ from splsim import (
     RngHandle,
     SystemParams,
     TimeGrid,
+    build_flux,
     generate_dataset,
     read_dataset,
     write_dataset,
 )
 from splsim.dataset import (
     TEST_FRACTION_DENOM,
+    Dataset,
     make_pair,
     sample_env,
     split_tag,
@@ -72,10 +74,8 @@ class TestMakePair:
     def test_shapes_and_normalization(self):
         sys_p = SystemParams(n_cycles=300)
         grid = TimeGrid(64, 10.0)
-        flux_vec, label = make_pair(sys_p, EnvParams(4.0, 1.0, 1.0), grid, 5, RngHandle(3))
-        assert flux_vec.shape == label.shape == (64,)
-        # The input is flux * bin width, so it sums to roughly the energy Q.
-        assert flux_vec.sum() == pytest.approx(2.0, abs=0.01)
+        label = make_pair(sys_p, EnvParams(4.0, 1.0, 1.0), grid, 5, RngHandle(3))
+        assert label.shape == (64,)
         assert label.sum() * grid.bin_width == pytest.approx(1.0, abs=1e-9)
 
 
@@ -85,6 +85,22 @@ class TestGenerate:
         assert desk_dataset.flux.shape == desk_dataset.label.shape == (DESK_PAIRS, DESK_BINS)
         tags = ["test" if t else "train" for t in desk_dataset.is_test]
         assert tags == [split_tag(DESK_SEED, i) for i in range(DESK_PAIRS)]
+
+    def test_derived_columns_match_their_definitions(self, tiny_setup):
+        ds = tiny_setup["dataset"]
+        h = ds.header
+        expected = [build_flux(h.sys, EnvParams(*env), ds.grid).values for env in ds.env]
+        assert np.array_equal(ds.flux, np.array(expected))
+        assert np.array_equal(ds.is_test, [split_tag(h.seed, i) == "test" for i in range(h.n_samples)])
+        tx, ty = ds.arrays("train")
+        assert np.array_equal(tx, ds.flux[~ds.is_test]) and np.array_equal(ty, ds.label[~ds.is_test])
+
+    @pytest.mark.parametrize("column, shape", [("env", (20, 4)), ("env", (19, 3)), ("label", (20, 32))])
+    def test_column_shape_must_match_header(self, tiny_setup, column, shape):
+        ds = tiny_setup["dataset"]
+        columns = {"env": ds.env, "label": ds.label, column: np.zeros(shape)}
+        with pytest.raises(ParameterError):
+            Dataset(header=ds.header, **columns)
 
     def test_envs_inside_ranges(self, desk_dataset):
         ranges = desk_dataset.header.ranges
@@ -129,9 +145,9 @@ class TestGenerate:
             tiny_setup["dataset"].arrays("validation")
 
 
-# The SPLDS1 layout spelled out field by field, as a reference reader.
+# The SPLDS2 layout spelled out field by field, as a reference reader.
 _REF_HEADER = struct.Struct("<dddIIQIddddddI")
-_REF_META = struct.Struct("<dddB")  # tau, s, b, split flag
+_REF_ENV = struct.Struct("<ddd")  # tau, s, b
 _REF_START = 6 + _REF_HEADER.size
 _N_BINS_OFFSET = 6 + struct.calcsize("<dddI")
 _N_SAMPLES_OFFSET = _REF_START - 4
@@ -140,19 +156,15 @@ _N_SAMPLES_OFFSET = _REF_START - 4
 def _reference_read(raw: bytes):
     fields = _REF_HEADER.unpack_from(raw, 6)
     k, n = fields[4], fields[-1]
-    env, is_test, flux, label = [], [], [], []
+    env, label = [], []
     off = _REF_START
     for _ in range(n):
-        tau, s, b, flag = _REF_META.unpack_from(raw, off)
-        off += _REF_META.size
-        env.append((tau, s, b))
-        is_test.append(bool(flag))
-        flux.append(struct.unpack_from(f"<{k}d", raw, off))
-        off += 8 * k
+        env.append(_REF_ENV.unpack_from(raw, off))
+        off += _REF_ENV.size
         label.append(struct.unpack_from(f"<{k}d", raw, off))
         off += 8 * k
     assert off == len(raw) - 4
-    return np.array(env), np.array(is_test), np.array(flux), np.array(label)
+    return np.array(env), np.array(label)
 
 
 def _write_with_crc(raw: bytearray, path):
@@ -175,10 +187,8 @@ class TestDatasetIO:
 
     def test_layout_matches_reference_reader(self, tiny_setup):
         ds = tiny_setup["dataset"]
-        env, is_test, flux, label = _reference_read(tiny_setup["dataset_path"].read_bytes())
+        env, label = _reference_read(tiny_setup["dataset_path"].read_bytes())
         assert np.array_equal(env, ds.env)
-        assert np.array_equal(is_test, ds.is_test)
-        assert np.array_equal(flux, ds.flux)
         assert np.array_equal(label, ds.label)
 
     def test_regenerable_from_header(self, tiny_setup):
@@ -194,6 +204,19 @@ class TestDatasetIO:
         raw = bytearray(tiny_setup["dataset_path"].read_bytes())
         raw[:6] = b"XXXXXX"
         path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError):
+            read_dataset(path)
+
+    def test_splds1_file_rejected(self, tiny_setup, tmp_path):
+        # The previous layout: the same header after an SPLDS1 magic, then per
+        # sample tau, S, B, a split flag, the flux times the bin width and the label.
+        ds = tiny_setup["dataset"]
+        raw = bytearray(b"SPLDS1" + tiny_setup["dataset_path"].read_bytes()[6:_REF_START])
+        for env, flag, flux, label in zip(ds.env, ds.is_test, ds.flux * ds.grid.bin_width, ds.label):
+            raw += struct.pack("<dddB", *env, int(flag)) + flux.astype("<f8").tobytes() + label.astype("<f8").tobytes()
+        raw += bytes(4)
+        path = tmp_path / "old.splds"
+        _write_with_crc(raw, path)
         with pytest.raises(FormatError):
             read_dataset(path)
 
@@ -259,3 +282,12 @@ class TestDatasetIO:
             _write_with_crc(raw, path)
             with pytest.raises(FormatError):
                 read_dataset(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
+    def test_hostile_label_rejected(self, tiny_setup, tmp_path, value):
+        path = tmp_path / "label.splds"
+        raw = bytearray(tiny_setup["dataset_path"].read_bytes())
+        struct.pack_into("<d", raw, _REF_START + 24 + 8 * 5, value)  # bin 5 of the first label
+        _write_with_crc(raw, path)
+        with pytest.raises(FormatError):
+            read_dataset(path)

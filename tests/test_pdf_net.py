@@ -27,8 +27,8 @@ from splsim.pdf_net import (
     AEModel,
     TrainConfig,
     TrainingDivergedError,
+    _forward_batch,
     backward,
-    forward,
     loss_mse,
     standard_layer_dims,
 )
@@ -96,15 +96,15 @@ class TestForwardBackward:
         b = np.array([1.0, -1.0, 0.5])
         model = AEModel([4, 3], weights=[w], biases=[b], activations=[ACT_LINEAR])
         x = np.array([0.5, -2.0, 1.0, 3.0])
-        assert np.allclose(forward(model, x), w @ x + b)
+        assert np.allclose(_forward_batch(model, x[None, :])[0], w @ x + b)
 
     def test_leaky_relu_kink(self):
         w = np.eye(2)
         model = AEModel(
             [2, 2], weights=[w.copy()], biases=[np.zeros(2)], activations=[ACT_LEAKY_RELU]
         )
-        out = forward(model, np.array([2.0, -2.0]))
-        assert np.allclose(out, [2.0, -0.02])
+        out, _, _ = _forward_batch(model, np.array([[2.0, -2.0]]))
+        assert np.allclose(out, [[2.0, -0.02]])
 
     def test_loss_mse_scalar(self):
         assert loss_mse(np.array([1.0, 3.0]), np.array([0.0, 1.0])) == pytest.approx(2.5)
@@ -125,9 +125,9 @@ class TestForwardBackward:
             for j in probe_gen.choice(flat_p.size, size=min(12, flat_p.size), replace=False):
                 orig = flat_p[j]
                 flat_p[j] = orig + h
-                up = loss_mse(forward(model, x), label)
+                up = loss_mse(_forward_batch(model, x[None, :])[0], label[None, :])
                 flat_p[j] = orig - h
-                down = loss_mse(forward(model, x), label)
+                down = loss_mse(_forward_batch(model, x[None, :])[0], label[None, :])
                 flat_p[j] = orig
                 fd = (up - down) / (2 * h)
                 scale = max(abs(fd), abs(flat_g[j]), 1e-8)
@@ -138,7 +138,7 @@ class TestForwardBackward:
         model = toy_model(seed=4)
         gen = RngHandle(92).generator()
         x = gen.random(16)
-        pred = forward(model, x)
+        pred = _forward_batch(model, x[None, :])[0][0]
         label1 = pred - np.full(16, 0.1)
         label2 = pred - np.full(16, 0.3)
         g1 = backward(model, x, label1)
@@ -167,6 +167,14 @@ class TestTraining:
         result = train(model, x, y, TrainConfig(batch_size=1, epochs=500, seed=0))
         assert result.train_loss[-1] < 1e-4
         assert result.train_loss[-1] < result.train_loss[0]
+
+    def test_train_applies_input_scale(self):
+        # One full batch at lr 0: the recorded loss is that of the scaled rows.
+        model = build_model(16, input_scale=0.5, seed=1, layer_dims=TOY_DIMS)
+        gen = RngHandle(97).generator()
+        x, y = gen.random((1, 16)), gen.random((1, 16))
+        result = train(model, x, y, TrainConfig(batch_size=1, epochs=1, learning_rate=0.0, seed=0))
+        assert result.train_loss[0] == loss_mse(_forward_batch(model, x * 0.5)[0], y)
 
     def test_zero_learning_rate_freezes_params(self):
         model = toy_model(seed=1)
@@ -395,20 +403,20 @@ class TestParameterVector:
         expected = w @ x + b
         w[:] = 0.0
         b[:] = 0.0
-        assert np.array_equal(forward(model, x), expected)
+        assert np.array_equal(_forward_batch(model, x[None, :])[0][0], expected)
         assert np.array_equal(model.flat, np.r_[np.arange(12.0), 1.0, -1.0, 0.5])
 
     def test_parameters_are_views_of_flat(self):
         # TOY_DIMS layer 1's weight starts after layer 0's 8x16 weight and 8 biases.
         model = toy_model(seed=5)
         x = RngHandle(101).generator().random(16)
-        out_before = forward(model, x)
+        out_before = _forward_batch(model, x[None, :])[0]
         flat_before = model.flat.copy()
         model.parameters()[2][0, 0] += 1.0
         assert model.flat[8 * 16 + 8] == flat_before[8 * 16 + 8] + 1.0
         assert model.weights[1][0, 0] == model.flat[8 * 16 + 8]
         assert np.count_nonzero(model.flat != flat_before) == 1
-        assert not np.array_equal(forward(model, x), out_before)
+        assert not np.array_equal(_forward_batch(model, x[None, :])[0], out_before)
 
     def test_loaded_model_trains(self, tmp_path):
         path = tmp_path / "m.splae"
@@ -442,7 +450,7 @@ class TestDeskModel:
         test_x, test_y = desk_dataset.arrays("test")
         errs = []
         for xi, yi in zip(test_x, test_y):
-            flux = DiscretizedFunction(desk_grid, xi / trained_model.input_scale)
+            flux = DiscretizedFunction(desk_grid, xi)
             pred = predict_pdf(trained_model, flux)
             errs.append(np.mean((pred.values - yi) ** 2))
         rmse = float(np.sqrt(np.mean(errs)))
