@@ -266,7 +266,7 @@ def train(
             for bi, start in enumerate(range(0, n, cfg.batch_size)):
                 idx = order[start : start + cfg.batch_size]
                 xb, yb = train_x[idx], train_y[idx]
-                xb *= model.input_scale
+                xb *= model.input_scale  # a copy: idx is an index array
                 out, pre, post = _forward_batch(model, xb)
                 batch_loss = loss_mse(out, yb)
                 if not np.isfinite(batch_loss):
