@@ -7,6 +7,7 @@ sets the scale. All quantities are per-pixel and per-cycle unless noted.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -37,6 +38,11 @@ def require_integer(name: str, value, minimum: int) -> None:
     """Reject a count, seed or stream id that is not a Python or numpy integer of at least minimum."""
     if not (isinstance(value, (int, np.integer)) and value >= minimum):
         raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def frozen_copy(values) -> np.ndarray:

@@ -13,9 +13,12 @@ own header.
 from __future__ import annotations
 
 import logging
+import multiprocessing
 import struct
 import zlib
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from hashlib import sha256
 from pathlib import Path
 
@@ -30,6 +33,7 @@ from .core import (
     SystemParams,
     TimeGrid,
     flux_rows,
+    usable_cpus,
 )
 from .oracle import empirical_pdf
 
@@ -148,6 +152,14 @@ class Dataset:
         return self._flux(rows), self.label[rows]
 
 
+def _try_pair(sys, grid, n_realizations, base, attempt, env) -> "np.ndarray | None":
+    """make_pair on stream base.child(attempt), or None when env registers no photon at all."""
+    try:
+        return make_pair(sys, env, grid, n_realizations, base.child(attempt))
+    except DegenerateDistributionError:
+        return None
+
+
 def generate_dataset(
     sys: SystemParams,
     grid: TimeGrid,
@@ -159,37 +171,39 @@ def generate_dataset(
     """Generate training pairs; the result is a pure function of the header.
 
     Near-zero-energy environments (Q < MIN_ENERGY) and the rare draw that
-    registers no photon at all are resampled, with a log record.
+    registers no photon at all are resampled, with a log record. Forked
+    workers, one per usable CPU, label draw k on stream (seed, 1).child(k);
+    each round labels as many draws as pairs are missing and keeps the
+    successes in draw order, so no result depends on the worker count.
+    A worker's error cancels the pending pairs and reaches the caller.
     """
     if n_samples < 1:
         raise ParameterError("dataset needs at least one sample")
     env_gen = RngHandle(seed, stream=0).generator()
-    base = RngHandle(seed, stream=1)
-    env_rows = np.empty((n_samples, 3))
-    label = np.empty((n_samples, grid.n_bins))
-    attempt = 0
-    for i in range(n_samples):
-        while True:
-            env = sample_env(env_gen, ranges)
-            attempt += 1
-            if env.energy < MIN_ENERGY:
-                log.info("resampling near-degenerate environment %s", env)
-                continue
-            try:
-                label[i] = make_pair(sys, env, grid, n_realizations, base.child(attempt))
-            except DegenerateDistributionError:
-                log.info("resampling environment with zero registrations %s", env)
-                continue
-            break
-        env_rows[i] = env.tau, env.s_level, env.b_level
-    header = DatasetHeader(
-        sys=sys,
-        n_bins=grid.n_bins,
-        ranges=ranges,
-        seed=seed,
-        n_realizations=n_realizations,
-        n_samples=n_samples,
-    )
+    label_fn = partial(_try_pair, sys, grid, n_realizations, RngHandle(seed, stream=1))
+    env_rows, label = np.empty((n_samples, 3)), np.empty((n_samples, grid.n_bins))
+    attempt = filled = 0
+    pool = ProcessPoolExecutor(min(usable_cpus(), n_samples), mp_context=multiprocessing.get_context("fork"))
+    try:
+        while filled < n_samples:
+            tries: "list[tuple[int, EnvParams]]" = []
+            while len(tries) < n_samples - filled:
+                env = sample_env(env_gen, ranges)
+                attempt += 1
+                if env.energy < MIN_ENERGY:
+                    log.info("resampling near-degenerate environment %s", env)
+                else:
+                    tries.append((attempt, env))
+            for (_, env), row in zip(tries, pool.map(label_fn, *zip(*tries))):
+                if row is None:
+                    log.info("resampling environment with zero registrations %s", env)
+                else:
+                    env_rows[filled], label[filled] = (env.tau, env.s_level, env.b_level), row
+                    filled += 1
+    finally:
+        pool.shutdown(cancel_futures=True)
+    header = DatasetHeader(sys=sys, n_bins=grid.n_bins, ranges=ranges, seed=seed,
+                           n_realizations=n_realizations, n_samples=n_samples)
     return Dataset(header=header, env=env_rows, label=label)
 
 
@@ -260,5 +274,4 @@ def read_dataset(path: "str | Path") -> Dataset:
     records = records.reshape(header.n_samples, width)
     if not np.all((records >= 0) & (records < np.inf)):
         raise FormatError(f"{path}: negative or non-finite environment parameter or label")
-    env, label = records[:, :3], records[:, 3:]
-    return Dataset(header=header, env=env.astype(np.float64), label=label.astype(np.float64))
+    return Dataset(header=header, env=records[:, :3], label=records[:, 3:])  # read-only views of raw

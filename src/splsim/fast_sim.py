@@ -15,7 +15,6 @@ numpy steps release the GIL, so the workers overlap.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 import warnings
@@ -36,6 +35,7 @@ from .core import (
     TimeGrid,
     flux_rows,
     frozen_copy,
+    usable_cpus,
 )
 from .count_model import count_moments, estimate_count, sample_count
 from .dataset import EnvRanges
@@ -274,8 +274,7 @@ def simulate_image(
     start_total = time.perf_counter()
     if engine == "oracle":
         out_of_range = np.zeros(n_px, dtype=bool)
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-        n_workers, stop = max(1, min(cpus, n_px)), threading.Event()
+        n_workers, stop = max(1, min(usable_cpus(), n_px)), threading.Event()
 
         def run(pixels: range) -> None:
             for idx in pixels:

@@ -8,8 +8,8 @@ Forward, backward, and Adam are implemented directly in numpy so the
 gradients are fully inspectable.
 
 All parameters live in one float64 vector, layer by layer, weight then
-bias, as the .splae body stores them; weights, biases, gradients and the
-Adam moments are per-layer views of vectors with that layout.
+bias, as the .splae body stores them; weights, biases and gradients are
+per-layer views of vectors with that layout, and Adam steps the whole one.
 """
 
 from __future__ import annotations
@@ -251,8 +251,9 @@ def train(
     if val_x is not None:
         val_x, val_y = _pairs("val_x", val_x, "val_y", val_y, model.n_bins)
     has_val = val_x is not None and len(val_x) > 0
-    n, params = train_x.shape[0], model.parameters()
-    grads, m, v = (_param_views(model.layer_dims, np.zeros_like(model.flat)) for _ in range(3))
+    n = train_x.shape[0]
+    grad, m, v, step_size, denom = (np.zeros_like(model.flat) for _ in range(5))  # Adam state and scratch
+    grads = _param_views(model.layer_dims, grad)
     shuffle_gen = RngHandle(cfg.seed, stream=1).generator()
     history: "list[float]" = []
     val_history: "list[tuple[int, float]]" = []
@@ -273,13 +274,14 @@ def train(
                     raise TrainingDivergedError(epoch, bi)
                 _backprop(model, out, pre, post, yb, grads)
                 step += 1
-                corr1, corr2 = 1.0 - ADAM_BETA1 ** step, 1.0 - ADAM_BETA2 ** step
-                for p, g, m_i, v_i in zip(params, grads, m, v):  # Adam, layer by layer
-                    m_i *= ADAM_BETA1
-                    m_i += (1.0 - ADAM_BETA1) * g
-                    v_i *= ADAM_BETA2
-                    v_i += (1.0 - ADAM_BETA2) * g * g
-                    p -= cfg.learning_rate * (m_i / corr1) / (np.sqrt(v_i / corr2) + ADAM_EPS)
+                corr1, corr2 = 1.0 - ADAM_BETA1 ** step, 1.0 - ADAM_BETA2 ** step  # Adam, in place over flat
+                m *= ADAM_BETA1
+                m += np.multiply(1.0 - ADAM_BETA1, grad, out=step_size)
+                v *= ADAM_BETA2
+                v += np.multiply(np.multiply(1.0 - ADAM_BETA2, grad, out=denom), grad, out=denom)
+                np.multiply(np.divide(m, corr1, out=step_size), cfg.learning_rate, out=step_size)
+                np.add(np.sqrt(np.divide(v, corr2, out=denom), out=denom), ADAM_EPS, out=denom)
+                model.flat -= np.divide(step_size, denom, out=step_size)
                 epoch_loss += batch_loss * len(idx)
             history.append(epoch_loss / n)
             if has_val and (epoch % VAL_EVERY == 0 or epoch == cfg.epochs - 1):

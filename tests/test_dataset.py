@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 import struct
 import tracemalloc
 import zlib
@@ -18,9 +20,13 @@ from splsim import (
     read_dataset,
     write_dataset,
 )
+from splsim import dataset
+from splsim.core import DegenerateDistributionError
 from splsim.dataset import (
+    MIN_ENERGY,
     TEST_FRACTION_DENOM,
     Dataset,
+    DatasetHeader,
     make_pair,
     sample_env,
     split_tag,
@@ -79,6 +85,28 @@ class TestMakePair:
         assert label.sum() * grid.bin_width == pytest.approx(1.0, abs=1e-9)
 
 
+def _serial_reference(sys_p, grid, n_samples, n_realizations, seed, ranges, label_fn=make_pair):
+    """The labelling loop in one process, draw k on stream (seed, 1).child(k): env, label, degenerate draws."""
+    env_gen, base = RngHandle(seed, 0).generator(), RngHandle(seed, 1)
+    envs, labels, attempt, degenerate = [], [], 0, 0
+    while len(labels) < n_samples:
+        env = sample_env(env_gen, ranges)
+        attempt += 1
+        if env.energy < MIN_ENERGY:
+            continue
+        try:
+            labels.append(label_fn(sys_p, env, grid, n_realizations, base.child(attempt)))
+        except DegenerateDistributionError:
+            degenerate += 1
+            continue
+        envs.append((env.tau, env.s_level, env.b_level))
+    return np.array(envs), np.array(labels), degenerate
+
+
+# Low energies, so that some draws fall below MIN_ENERGY and are skipped.
+_DIM_RANGES = EnvRanges(s_range=(0.0, 0.5), b_range=(0.0, 0.02))
+
+
 class TestGenerate:
     def test_counts_and_split_tags(self, desk_dataset):
         assert desk_dataset.env.shape == (DESK_PAIRS, 3)
@@ -132,6 +160,45 @@ class TestGenerate:
         with pytest.raises(ParameterError):
             generate_dataset(SystemParams(), TimeGrid(64, 10.0), 0)
 
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_same_bits_on_any_cpu_count(self, monkeypatch, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        sys_p, grid = SystemParams(n_cycles=200), TimeGrid(64, 10.0)
+        ds = generate_dataset(sys_p, grid, 13, n_realizations=3, seed=21, ranges=_DIM_RANGES)
+        env, label, _ = _serial_reference(sys_p, grid, 13, 3, 21, _DIM_RANGES)
+        assert np.array_equal(ds.env, env)
+        assert np.array_equal(ds.label, label)
+
+    def test_degenerate_draws_are_skipped_and_logged_by_the_parent(self, monkeypatch, caplog):
+        def fussy_pair(sys_p, env, grid, n_realizations, rng):
+            if env.s_level < 1.0:
+                raise DegenerateDistributionError("no registrations")
+            return make_pair(sys_p, env, grid, n_realizations, rng)
+
+        monkeypatch.setattr(dataset, "make_pair", fussy_pair)
+        sys_p, grid = SystemParams(n_cycles=200), TimeGrid(64, 10.0)
+        with caplog.at_level("INFO", logger="splsim.dataset"):
+            ds = generate_dataset(sys_p, grid, 9, n_realizations=3, seed=4)
+        env, label, degenerate = _serial_reference(sys_p, grid, 9, 3, 4, EnvRanges(), label_fn=fussy_pair)
+        assert np.array_equal(ds.env, env)
+        assert np.array_equal(ds.label, label)
+        resampled = [r for r in caplog.records if "zero registrations" in r.getMessage()]
+        assert degenerate > 0 and len(resampled) == degenerate
+        assert {r.process for r in resampled} == {os.getpid()}
+
+    def test_worker_error_reaches_caller_and_leaves_no_child(self, monkeypatch):
+        def broken_pair(sys_p, env, grid, n_realizations, rng):
+            if env.s_level > 2.0:
+                raise ParameterError(f"refused in process {os.getpid()}")
+            return make_pair(sys_p, env, grid, n_realizations, rng)
+
+        monkeypatch.setattr(dataset, "make_pair", broken_pair)
+        with pytest.raises(ParameterError, match="refused in process") as caught:
+            generate_dataset(SystemParams(n_cycles=200), TimeGrid(64, 10.0), 40, n_realizations=3, seed=6)
+        assert str(os.getpid()) not in str(caught.value)
+        assert multiprocessing.active_children() == []
+
     def test_arrays_partition(self, desk_dataset):
         tx, ty = desk_dataset.arrays("train")
         vx, vy = desk_dataset.arrays("test")
@@ -184,6 +251,25 @@ class TestDatasetIO:
         assert np.array_equal(back.is_test, ds.is_test)
         assert np.array_equal(back.flux, ds.flux)
         assert np.array_equal(back.label, ds.label)
+
+    def test_read_holds_the_file_once(self, tmp_path):
+        n, k = 300, 1024
+        gen = np.random.default_rng(8)
+        header = DatasetHeader(sys=SystemParams(), n_bins=k, ranges=EnvRanges(), seed=1, n_realizations=2,
+                               n_samples=n)
+        path = tmp_path / "big.splds"
+        env = gen.uniform((2.0, 0.0, 0.0), (6.0, 3.0, 3.0), size=(n, 3))  # tau, S, B
+        write_dataset(Dataset(header=header, env=env, label=gen.uniform(size=(n, k))), path)
+        tracemalloc.start()
+        try:
+            back = read_dataset(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * path.stat().st_size
+        assert not back.env.flags.writeable and not back.label.flags.writeable
+        tx, ty = back.arrays("train")
+        assert tx.flags.c_contiguous and ty.flags.c_contiguous
 
     def test_layout_matches_reference_reader(self, tiny_setup):
         ds = tiny_setup["dataset"]

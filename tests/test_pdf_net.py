@@ -22,12 +22,17 @@ from splsim import (
 from splsim.pdf_net import (
     ACT_LEAKY_RELU,
     ACT_LINEAR,
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     MODEL_MAGIC,
     VAL_EVERY,
     AEModel,
     TrainConfig,
     TrainingDivergedError,
+    _backprop,
     _forward_batch,
+    _param_views,
     backward,
     loss_mse,
     standard_layer_dims,
@@ -158,7 +163,41 @@ class TestForwardBackward:
             assert np.allclose(bg, mean_g, atol=1e-12)
 
 
+def _per_layer_adam_reference(model, x, y, cfg):
+    """Mini-batch Adam as a loop over the layers' weights and biases, one array at a time."""
+    params = model.parameters()
+    grads, m, v = (_param_views(model.layer_dims, np.zeros_like(model.flat)) for _ in range(3))
+    shuffle_gen = RngHandle(cfg.seed, stream=1).generator()
+    step = 0
+    for _ in range(cfg.epochs):
+        order = shuffle_gen.permutation(len(x))
+        for start in range(0, len(x), cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            out, pre, post = _forward_batch(model, x[idx] * model.input_scale)
+            _backprop(model, out, pre, post, y[idx], grads)
+            step += 1
+            corr1, corr2 = 1.0 - ADAM_BETA1 ** step, 1.0 - ADAM_BETA2 ** step
+            for p, g, m_i, v_i in zip(params, grads, m, v):
+                m_i *= ADAM_BETA1
+                m_i += (1.0 - ADAM_BETA1) * g
+                v_i *= ADAM_BETA2
+                v_i += (1.0 - ADAM_BETA2) * g * g
+                p -= cfg.learning_rate * (m_i / corr1) / (np.sqrt(v_i / corr2) + ADAM_EPS)
+    return model.flat
+
+
 class TestTraining:
+    @pytest.mark.parametrize("batch_size", [4, 13])
+    def test_flat_adam_matches_per_layer_reference(self, batch_size):
+        gen = RngHandle(98).generator()
+        x, y = gen.random((13, 16)), gen.random((13, 16))
+        cfg = TrainConfig(batch_size=batch_size, epochs=4, learning_rate=3e-3, seed=2)  # 4 or 16 steps
+        models = [build_model(16, input_scale=0.5, seed=5, layer_dims=[16, 8, 4, 8, 16]) for _ in range(3)]
+        reference = _per_layer_adam_reference(models[1], x, y, cfg)
+        train(models[0], x, y, cfg)
+        assert np.array_equal(models[0].flat, reference)
+        assert not np.array_equal(models[0].flat, models[2].flat)
+
     def test_overfits_single_sample(self):
         model = toy_model(seed=1)
         gen = RngHandle(94).generator()
