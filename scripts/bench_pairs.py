@@ -25,11 +25,15 @@ before median, in the direction its ``better`` names. The check is
 unless every after run beats every before run.
 
 Pair i uses seed ``--seed + i`` on both sides. Each checkout should be a
-git clone, so that its commit is recorded. A run's minor faults are the
-``RUSAGE_CHILDREN`` ``ru_minflt`` difference around it, and its CPU seconds
-the ``ru_utime + ru_stime`` difference: the benchmark process and the
-interpreters it starts to time imports. CPU seconds above the wall time
-show work spread over more than one core.
+git clone, so that its commit is recorded. Before the first pair, both
+checkouts are byte-compiled (``python -m compileall -q src perfbench``,
+which writes ``.pyc`` files even under ``PYTHONDONTWRITEBYTECODE``), so
+that ``setup_s`` times the import of compiled code on both sides.
+
+A run's minor faults are the ``RUSAGE_CHILDREN`` ``ru_minflt`` difference
+around it, and its CPU seconds the ``ru_utime + ru_stime`` difference: the
+benchmark process and the interpreters it starts to time imports. CPU
+seconds above the wall time show work spread over more than one core.
 """
 
 from __future__ import annotations
@@ -50,6 +54,11 @@ def _child_usage() -> "tuple[int, float]":
     """Minor faults and CPU seconds (user + system) of every finished child so far."""
     usage = resource.getrusage(resource.RUSAGE_CHILDREN)
     return usage.ru_minflt, usage.ru_utime + usage.ru_stime
+
+
+def compile_checkout(checkout: Path) -> None:
+    """Byte-compile the checkout's sources, so that no timed import compiles them."""
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"], cwd=checkout, check=True)
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -150,6 +159,8 @@ def main(argv=None) -> int:
 
     sides = {"before": args.before, "after": args.after}
     runs: "dict[str, list[dict]]" = {"before": [], "after": []}
+    for checkout in sides.values():
+        compile_checkout(checkout)
     for i in range(args.pairs):
         order = ("before", "after") if i % 2 == 0 else ("after", "before")
         for side in order:

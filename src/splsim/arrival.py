@@ -160,8 +160,6 @@ def sample_poisson_count(mean: float, gen: np.random.Generator) -> int:
     """Draw a Poisson count with the given mean (the total energy N*Q)."""
     if mean < 0:
         raise ParameterError(f"Poisson mean must be non-negative, got {mean}")
-    if mean == 0:
-        return 0
     return int(gen.poisson(mean))
 
 

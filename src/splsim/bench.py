@@ -36,8 +36,8 @@ def run_benchmark(
 ) -> "list[BenchRow]":
     """Median-of-reps per-pixel runtime for both engines at each cycle count.
 
-    Each cell runs one warm-up rep (excluded) and times each rep on the
-    monotonic clock; timing is single-threaded so cells stay comparable.
+    Rep r of engine e at cycle index c runs on rng.child(c).child(e).child(r); the first WARMUP_REPS
+    reps are untimed, and the rest are timed on the monotonic clock, single-threaded so cells stay comparable.
     """
     if reps < 3:
         raise ParameterError("benchmark needs at least 3 repetitions")
@@ -47,7 +47,7 @@ def run_benchmark(
         for ei, engine in enumerate(("oracle", "fast")):
             times, photons = [], []
             for rep in range(WARMUP_REPS + reps):
-                rep_rng = rng.child(ci * 1000 + ei * 100 + rep)
+                rep_rng = rng.child(ci).child(ei).child(rep)
                 t0 = time.perf_counter()
                 if engine == "oracle":
                     count = simulate_registrations(bench_sys, env, grid, rep_rng).m_r

@@ -150,7 +150,7 @@ def cmd_train(args) -> int:
     )
     model = build_model(ds.grid.n_bins, input_scale=ds.grid.bin_width, seed=s["seed"])
     result = train(model, train_x, train_y, cfg, val_x=test_x, val_y=test_y)
-    save_model(result.model, out)
+    save_model(model, out)
     held_out = (
         f"held-out loss {result.val_loss[-1][1]:.6g}" if result.val_loss else "no held-out split"
     )

@@ -31,6 +31,7 @@ from .core import (
     SystemParams,
     TimeGrid,
     flux_rows,
+    require_integer,
     usable_cpus,
 )
 from .oracle import empirical_pdf
@@ -175,8 +176,8 @@ def generate_dataset(
     successes in draw order, so no result depends on the worker count.
     A worker's error cancels the pending pairs and reaches the caller.
     """
-    if n_samples < 1:
-        raise ParameterError("dataset needs at least one sample")
+    require_integer("n_samples", n_samples, 1)
+    require_integer("n_realizations", n_realizations, 1)
     from concurrent.futures import ProcessPoolExecutor  # imported here: at the top it adds ~7% to `import splsim`
     from multiprocessing import get_context
     env_gen = RngHandle(seed, stream=0).generator()

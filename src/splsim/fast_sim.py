@@ -93,15 +93,14 @@ def _simulate_block(
     mean_r, std_r, _ = count_moments(sys, energy[active], flux, f_r, grid)
     bin_mass = f_r / f_r.sum(axis=1, keepdims=True)
     bins = np.empty(bin_mass.shape, dtype=np.int64)
-    counts, uniforms = [], []
+    uniforms = []
     # streams comes last, so zip stops without taking a generator beyond the block.
     for row, (mean, std, mass, gen) in enumerate(zip(mean_r.tolist(), std_r.tolist(), bin_mass, streams)):
         n = sample_count(mean, std, gen)
         bins[row] = gen.multinomial(n, mass)
         uniforms.append(gen.random(n))
-        counts.append(n)
     times = place_in_bins(bins, np.concatenate(uniforms), grid)
-    for i, pixel_times in zip(active.tolist(), np.split(times, np.cumsum(counts)[:-1])):
+    for i, pixel_times in zip(active.tolist(), np.split(times, np.cumsum(bins.sum(axis=1))[:-1])):
         batches[i] = TimestampBatch(pixel_times)
     return batches
 
@@ -109,9 +108,8 @@ def _simulate_block(
 def _check_ranges(tau, s_level, b_level) -> np.ndarray:
     """Mask of pixels with energy whose environment lies outside the trained ranges; warns once if any.
 
-    Takes environment vectors, or the three floats of one pixel. The trained
-    ranges are the default EnvRanges, those of every dataset the CLI
-    generates, because a model file does not record its own.
+    The trained ranges are the default EnvRanges, those of every dataset
+    the CLI generates, because a model file does not record its own.
     """
     outside = np.logical_and(s_level + b_level > 0, np.logical_not(EnvRanges().inside(tau, s_level, b_level)))
     if outside.any():
@@ -135,8 +133,8 @@ def fast_simulate(
     The timestamps come grouped by bin (see sample_bin_counts), so their
     order carries no information.
     """
-    _check_ranges(env.tau, env.s_level, env.b_level)
     tau, s_level, b_level = (np.array([v]) for v in (env.tau, env.s_level, env.b_level))
+    _check_ranges(tau, s_level, b_level)
     return _simulate_block(sys, grid, model, tau, s_level, b_level, [rng.generator()], n_rows=1)[0]
 
 
@@ -240,10 +238,6 @@ class ImageResult:
     mean_pixel_seconds: float       # the engine's wall time over the pixel count, every worker running
     total_seconds: float            # the engine plus the depth estimates
 
-    @property
-    def valid(self) -> np.ndarray:
-        return ~np.isnan(self.depth_estimate)
-
 
 def simulate_image(
     scene: SceneSpec,
@@ -284,8 +278,8 @@ def simulate_image(
                 batches[idx] = simulate_registrations(sys, env, grid, rng.child(idx)).rel_times
 
         with ThreadPoolExecutor(n_workers) as pool:
-            workers = [pool.submit(run, range(k, n_px, n_workers)) for k in range(n_workers)]
             try:
+                workers = [pool.submit(run, range(k, n_px, n_workers)) for k in range(n_workers)]
                 wait(workers, return_when=FIRST_EXCEPTION)
             finally:
                 stop.set()  # after an error or an interrupt, the others stop at their next pixel

@@ -213,7 +213,6 @@ class TrainingDivergedError(RuntimeError):
 
 @dataclass
 class TrainResult:
-    model: AEModel
     train_loss: "list[float]"                   # per-epoch mean training loss
     val_loss: "list[tuple[int, float]]" = field(default_factory=list)
 
@@ -236,7 +235,7 @@ def train(
     val_x: "np.ndarray | None" = None,
     val_y: "np.ndarray | None" = None,
 ) -> TrainResult:
-    """Mini-batch Adam training on (flux, label PDF) pairs.
+    """Mini-batch Adam training of model, in place, on (flux, label PDF) pairs.
 
     train_x and val_x hold raw flux rows; like predict_pdf_rows, training
     multiplies them by model.input_scale before the first layer. Every
@@ -287,7 +286,7 @@ def train(
             if has_val and (epoch % VAL_EVERY == 0 or epoch == cfg.epochs - 1):
                 val_out, _, _ = _forward_batch(model, val_x * model.input_scale)
                 val_history.append((epoch, loss_mse(val_out, val_y)))
-    return TrainResult(model=model, train_loss=history, val_loss=val_history)
+    return TrainResult(train_loss=history, val_loss=val_history)
 
 
 def predict_pdf(model: AEModel, flux: DiscretizedFunction) -> DiscretizedFunction:

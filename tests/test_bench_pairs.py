@@ -2,6 +2,7 @@ import importlib.util
 import json
 import resource
 import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -20,6 +21,18 @@ def perfbench_stdout(rate, failed=0, digest="0" * 64, setup_s=1.0):
         {"attempted": 3, "failed": failed, "metrics": metrics},
     ]
     return "\n".join(map(json.dumps, lines))
+
+
+def compiling_first(fake, compiled):
+    """A subprocess.run stand-in: a compile call appends its checkout's name to compiled; any other call
+    goes to fake, and only after both checkouts compiled."""
+    def run(cmd, cwd, **kwargs):
+        if cmd == [sys.executable, "-m", "compileall", "-q", "src", "perfbench"]:
+            compiled.append(Path(cwd).name)
+            return subprocess.CompletedProcess(cmd, 0)
+        assert sorted(compiled) == ["after", "before"], "a benchmark ran before both checkouts compiled"
+        return fake(cmd, cwd, **kwargs)
+    return run
 
 
 def load_bench_pairs():
@@ -49,7 +62,7 @@ def test_minor_faults_recorded_per_run(tmp_path, monkeypatch):
     # The stand-in benchmark run k adds 1000 + k faults to the children's
     # count, so each side's runs must read back exactly those differences.
     bench_pairs = load_bench_pairs()
-    calls = []
+    calls, compiled = [], []
     children_faults = [0]
 
     def fake_getrusage(who):
@@ -63,13 +76,14 @@ def test_minor_faults_recorded_per_run(tmp_path, monkeypatch):
         return subprocess.CompletedProcess(cmd, 0, stdout="noise\n" + perfbench_stdout(rate))
 
     monkeypatch.setattr(bench_pairs.resource, "getrusage", fake_getrusage)
-    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_benchmark)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", compiling_first(fake_benchmark, compiled))
     out = tmp_path / "b.json"
     assert bench_pairs.main(["--before", str(tmp_path / "before"), "--after", str(tmp_path / "after"),
                              "--workload", "image_oracle", "--pairs", "3", "--seed", "40",
                              "--seconds", "1", "--out", str(out)]) == 0
     assert calls == [("before", "40"), ("after", "40"), ("after", "41"), ("before", "41"),
                      ("before", "42"), ("after", "42")]
+    assert compiled == ["before", "after"]
     record = json.loads(out.read_text())
     assert record["claim_check"]["wins"] == 3
     assert record["before"]["minor_faults"] == {"q1": 1002.5, "median": 1004, "q3": 1004.5,
@@ -81,7 +95,7 @@ def test_cpu_seconds_recorded_per_run(tmp_path, monkeypatch):
     # The stand-in benchmark run k adds k user and k / 4 system seconds to
     # the children's CPU time, so each run must read back 1.25 k seconds.
     bench_pairs = load_bench_pairs()
-    calls = []
+    calls, compiled = [], []
     children_cpu = {"ru_utime": 0.0, "ru_stime": 0.0}
 
     def fake_getrusage(who):
@@ -96,12 +110,13 @@ def test_cpu_seconds_recorded_per_run(tmp_path, monkeypatch):
         return subprocess.CompletedProcess(cmd, 0, stdout=perfbench_stdout(rate))
 
     monkeypatch.setattr(bench_pairs.resource, "getrusage", fake_getrusage)
-    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_benchmark)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", compiling_first(fake_benchmark, compiled))
     out = tmp_path / "b.json"
     assert bench_pairs.main(["--before", str(tmp_path / "before"), "--after", str(tmp_path / "after"),
                              "--workload", "image_oracle", "--pairs", "3", "--seed", "40",
                              "--seconds", "1", "--out", str(out)]) == 0
     assert calls == ["before", "after", "after", "before", "before", "after"]
+    assert compiled == ["before", "after"]
     record = json.loads(out.read_text())
     assert record["before"]["cpu_s"] == {"q1": 3.125, "median": 5.0, "q3": 5.625, "runs": [1.25, 5.0, 6.25]}
     assert record["after"]["cpu_s"]["runs"] == [2.5, 3.75, 7.5]
@@ -129,7 +144,7 @@ def test_claim_check(tmp_path, monkeypatch, before, after, after_failed, wins, m
         failed = after_failed if side == "after" else 0
         return subprocess.CompletedProcess(cmd, 0, stdout=perfbench_stdout(rates[side][pair], failed))
 
-    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_benchmark)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", compiling_first(fake_benchmark, []))
     out = tmp_path / "b.json"
     bench_pairs.main(["--before", str(tmp_path / "before"), "--after", str(tmp_path / "after"),
                       "--workload", "train_pipeline", "--pairs", "4", "--seed", "40", "--out", str(out)])
@@ -153,7 +168,7 @@ def test_output_digests_recorded_and_compared_pair_by_pair(tmp_path, monkeypatch
         digest = f"s{seed}" if Path(cwd).name == "before" else after_digests[seed - 40]
         return subprocess.CompletedProcess(cmd, 0, stdout=perfbench_stdout(10.0, digest=digest))
 
-    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_benchmark)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", compiling_first(fake_benchmark, []))
     out = tmp_path / "b.json"
     bench_pairs.main(["--before", str(tmp_path / "before"), "--after", str(tmp_path / "after"),
                       "--workload", "image_oracle", "--pairs", "3", "--seed", "40", "--out", str(out)])
@@ -194,7 +209,7 @@ def test_regression_check(tmp_path, monkeypatch, name, better, before, after, wo
         return subprocess.CompletedProcess(cmd, 0, stdout=stdout)
 
     monkeypatch.setattr(bench_pairs, "BENCHMARK", benchmark)
-    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_benchmark)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", compiling_first(fake_benchmark, []))
     out = tmp_path / "b.json"
     bench_pairs.main(["--before", str(tmp_path / "before"), "--after", str(tmp_path / "after"),
                       "--workload", "image_fast", "--pairs", "4", "--seed", "40", "--out", str(out)])
@@ -211,7 +226,7 @@ def test_regression_check_covers_every_end_to_end_metric(tmp_path, monkeypatch):
     def fake_benchmark(cmd, cwd, **kwargs):
         return subprocess.CompletedProcess(cmd, 0, stdout=perfbench_stdout(10.0))
 
-    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_benchmark)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", compiling_first(fake_benchmark, []))
     out = tmp_path / "b.json"
     bench_pairs.main(["--before", str(tmp_path / "before"), "--after", str(tmp_path / "after"),
                       "--workload", "image_fast", "--pairs", "2", "--out", str(out)])

@@ -1,3 +1,4 @@
+import concurrent.futures
 import multiprocessing
 import os
 import struct
@@ -159,6 +160,21 @@ class TestGenerate:
     def test_empty_rejected(self):
         with pytest.raises(ParameterError):
             generate_dataset(SystemParams(), TimeGrid(64, 10.0), 0)
+
+    @pytest.mark.parametrize(
+        "n_samples, n_realizations, name",
+        [(2.5, 3, "n_samples"), (4, 1.5, "n_realizations"), (4, 0, "n_realizations")],
+        ids=["fractional-samples", "fractional-realizations", "zero-realizations"],
+    )
+    def test_counts_checked_before_the_pool_starts(self, monkeypatch, n_samples, n_realizations, name):
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a process pool was built")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+        with pytest.raises(ParameterError, match=f"{name} must be an integer >= 1"):
+            generate_dataset(SystemParams(n_cycles=200), TimeGrid(64, 10.0), n_samples,
+                             n_realizations=n_realizations)
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_same_bits_on_any_cpu_count(self, monkeypatch, cpus):

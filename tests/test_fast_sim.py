@@ -1,5 +1,7 @@
 import os
+import signal
 import sys
+import threading
 import time
 
 import numpy as np
@@ -231,7 +233,7 @@ class TestSimulateImage:
         # tolerance: most cycles register at most one pulse photon.
         scene = ramp_scene(4, 2, reflectivity=0.25, b_level=0.0, pulse_energy=2.0)
         result = simulate_image(scene, default_sys, desk_grid, "oracle", RngHandle(10))
-        assert result.valid.all()
+        assert not np.isnan(result.depth_estimate).any()
         assert np.allclose(result.depth_estimate, scene.depths, atol=0.05)
 
     @pytest.mark.parametrize("engine", ["oracle", "fast"])
@@ -244,8 +246,8 @@ class TestSimulateImage:
         )
         model = request.getfixturevalue("trained_model") if engine == "fast" else None
         result = simulate_image(scene, default_sys, desk_grid, engine, RngHandle(11), model=model)
-        assert not result.valid[0, 0] and np.isnan(result.depth_estimate[0, 0])
-        assert result.valid[0, 1]
+        assert np.isnan(result.depth_estimate[0, 0])
+        assert not np.isnan(result.depth_estimate[0, 1])
 
     def test_fast_image_shape_and_timing(self, trained_model, default_sys, desk_grid):
         scene = ramp_scene(3, 2)
@@ -356,16 +358,23 @@ class TestSimulateImage:
             reference = simulate_registrations(sys_p, env, desk_grid, RngHandle(17).child(idx)).rel_times
             assert np.array_equal(batch.times, reference.times)
 
-    def test_oracle_pixel_error_propagates_and_stops_the_others(self, default_sys, desk_grid, monkeypatch):
-        # Pixel 0 fails at once; every other pixel takes 10 ms, so workers
-        # that kept going after the failure would run all 40 of them.
+    @pytest.mark.parametrize("fault", ["error", "interrupt"])
+    def test_oracle_pixel_error_propagates_and_stops_the_others(self, default_sys, desk_grid, monkeypatch, fault):
+        # Pixel 0 fails at once, or interrupts the caller's thread; every
+        # other pixel takes 10 ms, so workers that kept going after it would
+        # run all 40 of them. Switching threads every microsecond lets the
+        # interrupt land while the caller is still starting the workers.
+        if fault == "interrupt" and not hasattr(signal, "pthread_kill"):
+            pytest.skip("signal.pthread_kill is not available")
         boom = RuntimeError("pixel 0 failed")
         calls = []
 
         def acquisition(sys_p, env, grid, gen):
             calls.append(env.tau)
             if env.tau == 0.5:
-                raise boom
+                if fault == "error":
+                    raise boom
+                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
             time.sleep(0.01)
             return simulate_registrations(sys_p, env, grid, gen)
 
@@ -373,9 +382,14 @@ class TestSimulateImage:
         depths = np.full((1, 41), 4.0)
         depths[0, 0] = 0.5
         scene = SceneSpec(depths=depths, reflectivity=0.0, b_level=1.0, pulse_energy=2.0)
-        with pytest.raises(RuntimeError) as info:
-            simulate_image(scene, default_sys, desk_grid, "oracle", RngHandle(18))
-        assert info.value is boom
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with pytest.raises(RuntimeError if fault == "error" else KeyboardInterrupt) as info:
+                simulate_image(scene, default_sys, desk_grid, "oracle", RngHandle(18))
+        finally:
+            sys.setswitchinterval(interval)
+        assert fault == "interrupt" or info.value is boom
         assert 1 <= len(calls) <= 10
 
     def test_oracle_worker_warning_reaches_caller(self, default_sys, desk_grid):
