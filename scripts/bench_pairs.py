@@ -56,11 +56,6 @@ def _child_usage() -> "tuple[int, float]":
     return usage.ru_minflt, usage.ru_utime + usage.ru_stime
 
 
-def compile_checkout(checkout: Path) -> None:
-    """Byte-compile the checkout's sources, so that no timed import compiles them."""
-    subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"], cwd=checkout, check=True)
-
-
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark process; returns its environment and result lines, minor faults, CPU seconds and digest."""
     faults, cpu_s = _child_usage()
@@ -159,8 +154,8 @@ def main(argv=None) -> int:
 
     sides = {"before": args.before, "after": args.after}
     runs: "dict[str, list[dict]]" = {"before": [], "after": []}
-    for checkout in sides.values():
-        compile_checkout(checkout)
+    for checkout in sides.values():  # so that no timed import compiles the sources
+        subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"], cwd=checkout, check=True)
     for i in range(args.pairs):
         order = ("before", "after") if i % 2 == 0 else ("after", "before")
         for side in order:
